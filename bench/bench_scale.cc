@@ -2,12 +2,10 @@
 // limits of the central-manager tier. Two phases:
 //
 //   1. Discovery microbench — a Registry loaded with --disc-nodes synthetic
-//      node statuses answers randomized discovery queries through (a) the
-//      legacy copying pipeline (Registry::snapshot() + linear widening
-//      scan, the pre-refactor manager hot path, kept as a compatibility
-//      shim) and (b) the geo-indexed pipeline (bucket-pruned visitation).
-//      Reported as queries/sec; the speedup ratio is the refactor's
-//      headline number.
+//      node statuses answers randomized discovery queries through the
+//      geo-indexed pipeline (GlobalSelector::select over the registry).
+//      Reported as queries/sec plus a digest of every response, which
+//      stays fixed as long as selection is byte-identical.
 //
 //   2. Fleet scenario — --nodes edge nodes and --clients EdgeClients in one
 //      metro-scale Scenario, run for --seconds of simulated time at a low
@@ -61,10 +59,8 @@ double peak_rss_mb() {
 struct DiscoveryResult {
   int nodes{0};
   int queries{0};
-  double legacy_qps{0};
   double indexed_qps{0};
-  std::uint64_t checksum_legacy{0};
-  std::uint64_t checksum_indexed{0};
+  std::uint64_t digest{0};
 };
 
 std::uint64_t response_checksum(const net::DiscoveryResponse& response) {
@@ -126,30 +122,10 @@ DiscoveryResult run_discovery_bench(int nodes, int queries) {
   manager::GlobalSelector selector;
   const auto requests = make_requests(queries, rng);
 
-  // Legacy pipeline: what CentralManager::handle_discover did before the
-  // geo index — one full snapshot copy per query, then the linear widening
-  // scan over every entry. The deprecated shim is the thing being measured.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const double legacy_sec = wall_seconds([&] {
-    for (const auto& request : requests) {
-      const auto response =
-          selector.select(request, registry.snapshot(now), now);
-      result.checksum_legacy =
-          (result.checksum_legacy * 31) ^ response_checksum(response);
-    }
-  });
-#pragma GCC diagnostic pop
-  result.legacy_qps = queries / legacy_sec;
-
-  // Indexed pipeline: bucket-pruned candidate visitation straight off the
-  // registry, no snapshot copy. Checksums must match the legacy run —
-  // the selector is byte-identical by construction.
   const double indexed_sec = wall_seconds([&] {
     for (const auto& request : requests) {
       const auto response = selector.select(request, registry, now);
-      result.checksum_indexed =
-          (result.checksum_indexed * 31) ^ response_checksum(response);
+      result.digest = (result.digest * 31) ^ response_checksum(response);
     }
   });
   result.indexed_qps = queries / indexed_sec;
@@ -413,11 +389,9 @@ void write_json(const std::string& path, const DiscoveryResult& disc,
   std::fprintf(f, "{\n");
   std::fprintf(f,
                "  \"discovery\": {\"nodes\": %d, \"queries\": %d,\n"
-               "    \"legacy_qps\": %.1f, \"indexed_qps\": %.1f,\n"
-               "    \"speedup\": %.2f, \"responses_identical\": %s},\n",
-               disc.nodes, disc.queries, disc.legacy_qps, disc.indexed_qps,
-               disc.indexed_qps > 0 ? disc.indexed_qps / disc.legacy_qps : 0.0,
-               disc.checksum_indexed == disc.checksum_legacy ? "true" : "false");
+               "    \"indexed_qps\": %.1f, \"digest\": \"%016llx\"},\n",
+               disc.nodes, disc.queries, disc.indexed_qps,
+               static_cast<unsigned long long>(disc.digest));
   const auto scale_json = [&](const char* key, const ScaleResult& r) {
     std::fprintf(f,
                  "  \"%s\": {\"clients\": %d, \"nodes\": %d, "
@@ -519,13 +493,12 @@ int main(int argc, char** argv) {
 
   print_section("discovery microbench (registry -> selector pipeline)");
   const DiscoveryResult disc = run_discovery_bench(disc_nodes, disc_queries);
-  Table dtable({"nodes", "queries", "legacy q/s", "indexed q/s", "speedup"});
+  char digest[17];
+  std::snprintf(digest, sizeof digest, "%016llx",
+                static_cast<unsigned long long>(disc.digest));
+  Table dtable({"nodes", "queries", "indexed q/s", "response digest"});
   dtable.add_row({Table::integer(disc.nodes), Table::integer(disc.queries),
-                  Table::num(disc.legacy_qps, 0),
-                  Table::num(disc.indexed_qps, 0),
-                  disc.indexed_qps > 0
-                      ? Table::num(disc.indexed_qps / disc.legacy_qps, 2) + "x"
-                      : std::string("-")});
+                  Table::num(disc.indexed_qps, 0), digest});
   dtable.print();
 
   print_section("smoke fleet (2000 clients / 200 nodes)");

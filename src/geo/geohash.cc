@@ -1,19 +1,26 @@
 #include "geo/geohash.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 
 namespace eden::geo {
 namespace {
 
 constexpr const char* kBase32 = "0123456789bcdefghjkmnpqrstuvwxyz";
 
-int base32_index(char c) {
+// Byte -> base-32 digit, -1 for every byte outside the alphabet.
+constexpr std::array<std::int8_t, 256> kBase32Index = [] {
+  std::array<std::int8_t, 256> table{};
+  table.fill(-1);
   for (int i = 0; i < 32; ++i) {
-    if (kBase32[i] == c) return i;
+    table[static_cast<unsigned char>(kBase32[i])] = static_cast<std::int8_t>(i);
   }
-  return -1;
-}
+  return table;
+}();
+
+int base32_index(char c) { return kBase32Index[static_cast<unsigned char>(c)]; }
 
 double wrap_lon(double lon) {
   while (lon >= 180.0) lon -= 360.0;

@@ -211,9 +211,11 @@ void GlobalSelector::select_into(const net::DiscoveryRequest& request,
   const auto user_center = geo::geohash_decode_center(request.geohash);
 
   // Same widening filter as the linear overload, but each radius step only
-  // visits registry buckets that can intersect the search disc (plus the
+  // visits registry entries that can lie in the search disc (plus the
   // no-geohash fallback bucket); the exact per-node check is unchanged, so
   // the qualified set — and therefore the response — is byte-identical.
+  // The cached-cosine haversine is bitwise-equal to the plain one.
+  const double user_cos_lat = user_center ? geo::cos_lat(*user_center) : 0.0;
   auto& qualified = qualified_scratch_;
   for (std::size_t ri = 0; ri < std::size(kRadiiKm); ++ri) {
     const double radius = kRadiiKm[ri];
@@ -224,12 +226,14 @@ void GlobalSelector::select_into(const net::DiscoveryRequest& request,
       registry.for_each_candidate(
           *user_center, radius, now,
           [&](const RegistryEntry& entry,
-              const std::optional<geo::GeoPoint>& center) {
+              const std::optional<geo::GeoPoint>& center,
+              double center_cos_lat) {
             if (!serves_app(request, entry.status)) return;
             bool in_range = false;
             double user_km = -1.0;
             if (center) {
-              user_km = geo::haversine_km(*user_center, *center);
+              user_km = geo::haversine_km(*user_center, *center, user_cos_lat,
+                                          center_cos_lat);
               in_range = user_km <= radius;
             } else {
               in_range = geo::common_prefix_len(request.geohash,

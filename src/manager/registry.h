@@ -7,8 +7,9 @@
 // buckets (nodes whose hash does not decode land in a fallback bucket), so
 // discovery queries visit candidate buckets instead of every node, and a
 // deadline min-heap makes expire() proportional to the number of nodes that
-// actually time out, not the registry size. snapshot() survives as a
-// copying compatibility shim; hot paths use the copy-free visitation API.
+// actually time out, not the registry size. Each indexed entry also caches
+// its unit vector on the sphere, so candidate queries discard out-of-range
+// entries with a trig-free chord test before the caller's exact check.
 #pragma once
 
 #include <map>
@@ -67,14 +68,6 @@ class Registry {
     const auto it = slots_.find(node);
     if (it != slots_.end()) it->second.entry.overloaded = overloaded;
   }
-  // Live entries as of `now` (expires first). Compatibility shim: copies
-  // every entry — every in-tree hot path has moved to the visitation API
-  // below; the shim survives only for the legacy-selector equivalence
-  // tests and benchmarks, which pin the copying behavior on purpose.
-  [[deprecated(
-      "copies every entry; use for_each_live/for_each_candidate")]]  //
-  [[nodiscard]] std::vector<RegistryEntry>
-  snapshot(SimTime now);
   [[nodiscard]] std::size_t size() const { return slots_.size(); }
   [[nodiscard]] SimDuration heartbeat_ttl() const { return heartbeat_ttl_; }
 
@@ -91,23 +84,25 @@ class Registry {
     expire(now);
     if (prefix.empty()) {
       for (const auto& [key, bucket] : buckets_) {
-        for (const Slot* slot : bucket.slots) visit(slot->entry, slot->center);
+        for (const Member& m : bucket.members) {
+          visit(m.slot->entry, m.slot->center);
+        }
       }
     } else if (prefix.size() <= kBucketPrecision) {
       // Bucket keys are hash prefixes, so every matching entry lives in a
       // bucket whose key itself starts with `prefix`: one ordered range.
       for (auto it = buckets_.lower_bound(prefix);
            it != buckets_.end() && starts_with(it->first, prefix); ++it) {
-        for (const Slot* slot : it->second.slots) {
-          visit(slot->entry, slot->center);
+        for (const Member& m : it->second.members) {
+          visit(m.slot->entry, m.slot->center);
         }
       }
     } else {
       const auto it = buckets_.find(prefix.substr(0, kBucketPrecision));
       if (it != buckets_.end()) {
-        for (const Slot* slot : it->second.slots) {
-          if (starts_with(slot->entry.status.geohash, prefix)) {
-            visit(slot->entry, slot->center);
+        for (const Member& m : it->second.members) {
+          if (starts_with(m.slot->entry.status.geohash, prefix)) {
+            visit(m.slot->entry, m.slot->center);
           }
         }
       }
@@ -122,23 +117,33 @@ class Registry {
     }
   }
 
-  // Every live entry that could lie within `radius_km` of `center`
-  // (a conservative superset: buckets are pruned by a lower bound on the
-  // distance from `center` to any point of the bucket cell, and entries
-  // with no usable geohash are always visited). Callers apply the exact
-  // per-entry check themselves.
+  // Every live entry that could lie within `radius_km` of `center`: a
+  // conservative superset of the entries whose haversine_km to `center` is
+  // <= radius_km, plus every entry with no usable geohash. Buckets are
+  // pruned by a lower bound on the distance from `center` to any point of
+  // the bucket cell, then entries one by one by the squared chord between
+  // unit vectors, against a limit widened past any rounding — no trig per
+  // entry. Callers apply the exact per-entry check themselves.
+  //
+  // Visitors receive a third argument: geo::cos_lat(*center), cached at
+  // upsert time (0 without a center), for the cached-cosine
+  // geo::haversine_km overload.
   template <typename Visitor>
   void for_each_candidate(const geo::GeoPoint& center, double radius_km,
                           SimTime now, Visitor&& visit) {
     expire(now);
+    const ChordFilter filter = chord_filter(center, radius_km);
     for (const auto& [key, bucket] : buckets_) {
-      if (geo::haversine_km(center, bucket.center) >
-          radius_km + bucket.radius_km) {
-        continue;  // no point of this cell can be within radius_km
+      if (!filter.may_reach(bucket)) continue;
+      for (const Member& m : bucket.members) {
+        if (geo::chord2(filter.query, m.unit) <= filter.entry_limit) {
+          visit(m.slot->entry, m.slot->center, m.slot->cos_lat);
+        }
       }
-      for (const Slot* slot : bucket.slots) visit(slot->entry, slot->center);
     }
-    for (const Slot* slot : fallback_) visit(slot->entry, slot->center);
+    for (const Slot* slot : fallback_) {
+      visit(slot->entry, slot->center, slot->cos_lat);
+    }
   }
 
  private:
@@ -147,18 +152,46 @@ class Registry {
     // Cell center of the full geohash; nullopt when it does not decode
     // (then the node lives in the fallback bucket).
     std::optional<geo::GeoPoint> center;
+    double cos_lat{0};          // geo::cos_lat(*center); 0 without a center
     std::string bucket_key;     // key into buckets_; unused for fallback
     std::uint32_t bucket_pos{0};
     bool fallback{false};
+  };
+  // A bucket's entry: the slot plus its center's unit vector, stored inline
+  // so the chord prefilter scans contiguous memory and dereferences only
+  // the entries it keeps.
+  struct Member {
+    Slot* slot;
+    geo::UnitVector unit;
+  };
+  // An angular radius with the sine and cosine of its half angle, so the
+  // bucket bound adds two radii without trig.
+  struct Angle {
+    double rad{0};
+    double half_sin{0};
+    double half_cos{1};
   };
   struct Bucket {
     // Direct slot pointers: unordered_map nodes are address-stable, so
     // visitation never pays a per-entry hash lookup. index_remove() fixes
     // bucket_pos through the pointer after a swap-erase.
-    std::vector<Slot*> slots;
-    geo::GeoPoint center;  // cell center of the bucket's key
-    double radius_km{0};   // upper bound on center -> any cell point
+    std::vector<Member> members;
+    geo::UnitVector unit;  // unit vector of the bucket cell's center
+    Angle radius;          // bounds center -> any cell point
   };
+  // for_each_candidate's per-query prefilter (see chord_filter()).
+  struct ChordFilter {
+    geo::UnitVector query;
+    Angle radius;  // the search radius
+    // Widened squared chord of the search disc; +inf keeps everything.
+    double entry_limit{0};
+    // False when no point of the bucket's cell can be within the radius.
+    [[nodiscard]] bool may_reach(const Bucket& bucket) const;
+  };
+  [[nodiscard]] static Angle angle_of(double km);
+  [[nodiscard]] static ChordFilter chord_filter(const geo::GeoPoint& center,
+                                                double radius_km);
+
   // Min-heap of (last_heartbeat, node); entries go stale when a newer
   // heartbeat arrives and are discarded lazily on pop.
   using Deadline = std::pair<SimTime, NodeId>;

@@ -15,11 +15,6 @@
 #include <type_traits>
 #include <utility>
 
-#ifdef EDEN_CALLBACK_SPILL_TRACE
-#include <cstdio>
-#include <typeinfo>
-#endif
-
 namespace eden::sim {
 
 namespace detail {
@@ -66,13 +61,6 @@ class Callback {
       *reinterpret_cast<Fn**>(storage_) = new Fn(std::forward<F>(f));
       ops_ = &kHeapOps<Fn>;
       detail::callback_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-#ifdef EDEN_CALLBACK_SPILL_TRACE
-      static std::atomic<bool> reported{false};
-      if (!reported.exchange(true)) {
-        std::fprintf(stderr, "SPILL Callback cap=%zu size=%zu %s\n",
-                     kInlineCapacity, sizeof(Fn), typeid(Fn).name());
-      }
-#endif
     }
   }
 
@@ -225,15 +213,6 @@ class BasicFunc {
       *reinterpret_cast<Fn**>(storage_) = new Fn(std::forward<F>(f));
       ops_ = &kHeapOps<Fn>;
       detail::callback_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-#ifdef EDEN_CALLBACK_SPILL_TRACE
-      static std::atomic<bool> reported{false};
-      if (!reported.exchange(true)) {
-        std::fprintf(stderr, "SPILL BasicFunc cap=%zu size=%zu align=%zu nothrow=%d %s\n",
-                     kInlineCapacity, sizeof(Fn), alignof(Fn),
-                     (int)std::is_nothrow_move_constructible_v<Fn>,
-                     typeid(Fn).name());
-      }
-#endif
     }
   }
 

@@ -1,7 +1,9 @@
 // Unit + property tests for geographic distance and the GeoHash codec.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/rng.h"
 #include "geo/geohash.h"
@@ -28,6 +30,43 @@ TEST(Haversine, Symmetric) {
   const GeoPoint a{10, 20};
   const GeoPoint b{-30, 150};
   EXPECT_DOUBLE_EQ(haversine_km(a, b), haversine_km(b, a));
+}
+
+TEST(Haversine, CachedCosineOverloadIsBitwiseEqual) {
+  // Selection caches cos(lat) per registry entry; scores stay bit-identical
+  // only if the overload runs exactly the plain arithmetic.
+  eden::Rng rng(42);
+  for (int i = 0; i < 2000; ++i) {
+    const GeoPoint a{rng.uniform(-90.0, 90.0), rng.uniform(-180.0, 180.0)};
+    const GeoPoint b = (i % 2 == 0)
+                           ? GeoPoint{rng.uniform(-90.0, 90.0),
+                                      rng.uniform(-180.0, 180.0)}
+                           : GeoPoint{a.lat + rng.uniform(-0.5, 0.5),
+                                      a.lon + rng.uniform(-0.5, 0.5)};
+    EXPECT_EQ(haversine_km(a, b), haversine_km(a, b, cos_lat(a), cos_lat(b)))
+        << i;
+  }
+}
+
+TEST(Haversine, ChordOfUnitVectorsMatchesDistance) {
+  // chord^2 = (2 sin(angle / 2))^2: the registry's trig-free prefilter
+  // relies on this identity holding to ~1e-15 (its margin is far wider).
+  eden::Rng rng(43);
+  for (int i = 0; i < 2000; ++i) {
+    const GeoPoint a{rng.uniform(-90.0, 90.0), rng.uniform(-180.0, 180.0)};
+    const GeoPoint b{std::clamp(a.lat + rng.uniform(-2.0, 2.0), -90.0, 90.0),
+                     a.lon + rng.uniform(-2.0, 2.0)};
+    const double half_angle = haversine_km(a, b) / kEarthRadiusKm / 2.0;
+    const double expected = 4.0 * std::sin(half_angle) * std::sin(half_angle);
+    EXPECT_NEAR(chord2(unit_vector(a), unit_vector(b)), expected,
+                1e-12 * expected + 1e-15)
+        << i;
+  }
+  // Across the antimeridian the vectors are ~0.22 km apart, not a full
+  // turn: chord^2 ~ (0.002 deg * cos(10 deg) in radians)^2 ~ 1.2e-9.
+  const GeoPoint east{10.0, 179.999};
+  const GeoPoint west{10.0, -179.999};
+  EXPECT_LT(chord2(unit_vector(east), unit_vector(west)), 2e-9);
 }
 
 TEST(DistanceMiles, ConvertsFromKm) {
@@ -135,6 +174,41 @@ TEST(Geohash, PrecisionForRadius) {
       EXPECT_LT(cell_width_km(p + 1), radius);
     }
   }
+}
+
+TEST(Geohash, DecodeRejectsEveryByteOutsideAlphabet) {
+  // Every byte: 'a', 'i', 'l', 'o', uppercase, NUL and 0x80-0xFF among the
+  // rejected ones, alone and after a valid prefix.
+  const std::string alphabet = "0123456789bcdefghjkmnpqrstuvwxyz";
+  int accepted = 0;
+  for (int byte = 0; byte < 256; ++byte) {
+    const std::string c(1, static_cast<char>(byte));
+    const bool valid = alphabet.find(c) != std::string::npos;
+    accepted += valid ? 1 : 0;
+    EXPECT_EQ(geohash_decode(c).has_value(), valid) << byte;
+    EXPECT_EQ(geohash_decode("9zvx" + c).has_value(), valid) << byte;
+  }
+  EXPECT_EQ(accepted, 32);
+  // Round trips are unchanged: every two-character cell re-encodes from its
+  // center, and digit order matches the alphabet (west-to-east, then
+  // south-to-north interleaving).
+  for (const char hi : alphabet) {
+    for (const char lo : alphabet) {
+      const std::string hash{hi, lo};
+      const auto box = geohash_decode(hash);
+      ASSERT_TRUE(box.has_value()) << hash;
+      EXPECT_EQ(geohash_encode(box->center(), 2), hash);
+    }
+  }
+  const auto expect_box = [](const std::string& hash, const GeoBox& want) {
+    const GeoBox got = *geohash_decode(hash);
+    EXPECT_EQ(got.min_lat, want.min_lat) << hash;
+    EXPECT_EQ(got.max_lat, want.max_lat) << hash;
+    EXPECT_EQ(got.min_lon, want.min_lon) << hash;
+    EXPECT_EQ(got.max_lon, want.max_lon) << hash;
+  };
+  expect_box("0", GeoBox{-90, -45, -180, -135});
+  expect_box("z", GeoBox{45, 90, 135, 180});
 }
 
 // Property: encode/decode round trip keeps the point inside the cell and

@@ -69,6 +69,26 @@ awk -v ref="$REF_ALLOCS" -v new="$NEW_ALLOCS" 'BEGIN {
   }
 }' || exit 1
 
+# Discovery gate: the smoke run re-measures the 1000-node discovery
+# microbench; queries/sec below half the committed value fails.
+extract_discovery_qps() {
+  sed -n '/"discovery"/,/}/p' "$1" | grep -o '"indexed_qps": [0-9.]*' |
+    head -1 | grep -o '[0-9.]*$'
+}
+REF_QPS=$(extract_discovery_qps BENCH_scale.json)
+NEW_QPS=$(extract_discovery_qps "$SMOKE_JSON")
+if [ -z "$REF_QPS" ] || [ -z "$NEW_QPS" ]; then
+  echo "scale smoke: missing discovery indexed_qps (ref='$REF_QPS' new='$NEW_QPS')" >&2
+  exit 1
+fi
+echo "scale smoke discovery indexed_qps: committed=$REF_QPS measured=$NEW_QPS"
+awk -v ref="$REF_QPS" -v new="$NEW_QPS" 'BEGIN {
+  if (new < 0.5 * ref) {
+    printf "scale smoke: discovery throughput regression >2x (%.1f vs %.1f q/s)\n", new, ref
+    exit 1
+  }
+}' || exit 1
+
 echo "=== [release] shard sweep gate (sharded == sequential observables) ==="
 # The smoke JSON now carries a shard sweep (1/2/4/8 shards over the same
 # fleet). Two gates: the sharded harness must report bit-identical
