@@ -4,8 +4,8 @@
 //
 // `bench_micro --json [path]` skips google-benchmark and instead runs the
 // event-engine + network hot-path suite with a hand-rolled timer, writing
-// machine-readable results (events/sec, callback allocs/event, base_rtt
-// ns/call) to BENCH_micro.json at the repo root (or `path`). The JSON also
+// machine-readable results (events/sec, callback allocs/event, messaging
+// ns/op) to BENCH_micro.json at the repo root (or `path`). The JSON also
 // carries the seed-engine numbers measured on the same machine when the
 // event-engine overhaul landed, so the speedup claim is reproducible.
 #include <benchmark/benchmark.h>
@@ -77,46 +77,6 @@ void BM_SimulatorCancelChurn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SimulatorCancelChurn);
-
-net::GeoNetwork make_geo_world(int hosts) {
-  net::GeoNetwork world(/*jitter_sigma=*/0.0);
-  Rng rng(11);
-  for (int i = 0; i < hosts; ++i) {
-    const auto tier = static_cast<net::AccessTier>(rng.uniform_int(0, 5));
-    world.add_host(HostId{static_cast<std::uint32_t>(i + 1)},
-                   {rng.uniform(-60, 60), rng.uniform(-180, 180)}, tier,
-                   static_cast<int>(rng.uniform_int(0, 4)));
-  }
-  return world;
-}
-
-// Steady-state sampling: after warmup every ordered pair is memoized.
-void BM_GeoBaseRttCached(benchmark::State& state) {
-  auto world = make_geo_world(40);
-  Rng rng(12);
-  std::uint32_t a = 1, b = 2;
-  for (auto _ : state) {
-    a = a % 40 + 1;
-    b = (b + 7) % 40 + 1;
-    benchmark::DoNotOptimize(world.base_rtt(HostId{a}, HostId{b}));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_GeoBaseRttCached);
-
-// First-touch cost: a fresh world per pass, every pair computed once.
-void BM_GeoBaseRttCold(benchmark::State& state) {
-  for (auto _ : state) {
-    auto world = make_geo_world(40);
-    for (std::uint32_t a = 1; a <= 40; ++a) {
-      for (std::uint32_t b = 1; b <= 40; ++b) {
-        if (a != b) benchmark::DoNotOptimize(world.base_rtt(HostId{a}, HostId{b}));
-      }
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * 40 * 39);
-}
-BENCHMARK(BM_GeoBaseRttCold);
 
 void BM_GeohashEncode(benchmark::State& state) {
   Rng rng(2);
@@ -268,25 +228,6 @@ double time_cancel_churn_ns(int ops) {
   return std::chrono::duration<double, std::nano>(t1 - t0).count() / ops;
 }
 
-double time_base_rtt_cached_ns(int calls) {
-  auto world = make_geo_world(40);
-  // Warm every pair so the steady-state number excludes first-touch cost.
-  for (std::uint32_t a = 1; a <= 40; ++a) {
-    for (std::uint32_t b = 1; b <= 40; ++b) {
-      if (a != b) benchmark::DoNotOptimize(world.base_rtt(HostId{a}, HostId{b}));
-    }
-  }
-  std::uint32_t a = 1, b = 2;
-  const auto t0 = JsonClock::now();
-  for (int i = 0; i < calls; ++i) {
-    a = a % 40 + 1;
-    b = (b + 7) % 40 + 1;
-    benchmark::DoNotOptimize(world.base_rtt(HostId{a}, HostId{b}));
-  }
-  const auto t1 = JsonClock::now();
-  return std::chrono::duration<double, std::nano>(t1 - t0).count() / calls;
-}
-
 // Full request/response round trips over the simulated fabric on a 2-host
 // matrix world (no jitter: this isolates the rpc machinery itself — state
 // bookkeeping, callback storage, timeout schedule/cancel — from the delay
@@ -323,7 +264,9 @@ double time_rpc_async_ns(int rpcs) {
 
 // One-way delay sampling through SimNetwork::sample_delay on a jittered
 // GeoNetwork (sigma 0.08, the fleet-bench configuration): pair-metric
-// lookup + log-normal jitter draw + transfer delay.
+// computation + log-normal jitter draw + transfer delay. A 256-host walk
+// is a hot loop; bench_scale's "network" object times the same call over
+// a fleet-sized pair set.
 double time_sample_owd_ns(int samples) {
   sim::Simulator simulator;
   net::GeoNetwork model(/*jitter_sigma=*/0.08);
@@ -347,7 +290,7 @@ double time_sample_owd_ns(int samples) {
     }
   };
   SimDuration warm_sum = 0;
-  walk(70'000, warm_sum);  // memoize every pair the walk visits
+  walk(70'000, warm_sum);  // warm the caches and the branch predictor
   benchmark::DoNotOptimize(warm_sum);
   const auto t0 = JsonClock::now();
   walk(samples, acc);
@@ -401,10 +344,10 @@ double time_fault_lookup_ns(int queries) {
 }
 
 int run_json(const std::string& path) {
-  // Seed-engine numbers (std::priority_queue + unordered_map simulator,
-  // unmemoized GeoNetwork) measured with this same harness, same machine,
-  // same session the overhaul landed in. They make speedup_vs_seed
-  // reproducible without rebuilding the old engine.
+  // Seed-engine numbers (std::priority_queue + unordered_map simulator)
+  // measured with this same harness on the same machine when the overhaul
+  // landed. They make speedup_vs_seed reproducible without rebuilding the
+  // old engine.
   struct SeedRef {
     int events;
     double ns_per_event;
@@ -412,7 +355,6 @@ int run_json(const std::string& path) {
   const SeedRef seed_sched[] = {
       {1'000, 110.3}, {10'000, 160.2}, {100'000, 359.8}, {1'000'000, 1523.1}};
   const double seed_churn_ns = 239.7;
-  const double seed_base_rtt_ns = 48.7;
   // Messaging-layer numbers of the shared_ptr/std::function rpc path, the
   // un-hoisted sample_delay and the linear-scan FaultInjector, measured with
   // this same harness on the same machine just before the messaging-hot-path
@@ -466,16 +408,6 @@ int run_json(const std::string& path) {
                seed_churn_ns / churn_ns);
   std::printf("cancel_churn: %.1f ns/op (%.2fx seed)\n", churn_ns,
               seed_churn_ns / churn_ns);
-
-  const double rtt_ns = best_of(5, [](int calls) {
-    return time_base_rtt_cached_ns(calls);
-  }, 2'000'000);
-  std::fprintf(out,
-               "  \"geo_base_rtt\": {\"cached_ns_per_call\": %.2f, "
-               "\"seed_ns_per_call\": %.1f, \"speedup_vs_seed\": %.2f},\n",
-               rtt_ns, seed_base_rtt_ns, seed_base_rtt_ns / rtt_ns);
-  std::printf("geo_base_rtt: %.2f ns/call (%.2fx seed)\n", rtt_ns,
-              seed_base_rtt_ns / rtt_ns);
 
   // ---- messaging hot path (rpc_async / sample_owd / fault_lookup) ----
   const auto safe_ratio = [](double seed, double measured) {

@@ -13,17 +13,24 @@
 //      peak RSS: the memory- and CPU-bound layer the paper claims is
 //      scalable.
 //
+//   3. Delay sampling — after the smoke fleet has run, SimNetwork::
+//      sample_delay is timed over every client→node pair in shuffled order:
+//      the per-message network cost at a fleet-sized working set.
+//
 // `--json [path]` writes machine-readable results to BENCH_scale.json at
 // the repo root (or `path`). The smoke configuration (2000 clients / 200
 // nodes) is always measured alongside a bigger run so tools/check.sh can
 // compare wall-clock against the committed reference.
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "alloc_hook.h"
@@ -152,6 +159,55 @@ struct ScaleResult {
   double allocs_per_event{0};
 };
 
+struct NetworkTiming {
+  std::size_t pairs{0};
+  std::size_t calls{0};
+  double sample_delay_ns{0};
+  double mean_delay_ms{0};
+};
+
+// CPU time of the calling thread, the clock edenbench times isolated layer
+// calls with.
+double thread_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+// SimNetwork::sample_delay over every client→node pair of a fleet that has
+// finished its run, in shuffled order, three passes. Fleet-sized and
+// unordered, unlike a hot loop over a few hosts; taken after the run, so
+// it changes nothing the fleet reports.
+NetworkTiming time_sample_delay(harness::Scenario& scenario, Rng rng) {
+  std::vector<std::pair<HostId, HostId>> pairs;
+  pairs.reserve(scenario.edge_client_count() * scenario.node_count());
+  for (std::size_t c = 0; c < scenario.edge_client_count(); ++c) {
+    for (std::size_t n = 0; n < scenario.node_count(); ++n) {
+      pairs.emplace_back(scenario.edge_client(c).id(), scenario.node_id(n));
+    }
+  }
+  std::shuffle(pairs.begin(), pairs.end(), rng);
+  constexpr std::size_t kPasses = 3;
+  const double frame_bytes = client::ClientConfig{}.app.frame_bytes;
+  net::SimNetwork& fabric = scenario.fabric();
+  SimDuration sum = 0;
+  const double t0 = thread_cpu_seconds();
+  for (std::size_t pass = 0; pass < kPasses; ++pass) {
+    for (const auto& [from, to] : pairs) {
+      sum += fabric.sample_delay(from, to, frame_bytes);
+    }
+  }
+  const double cpu_s = thread_cpu_seconds() - t0;
+  NetworkTiming timing;
+  timing.pairs = pairs.size();
+  timing.calls = pairs.size() * kPasses;
+  if (timing.calls > 0) {
+    timing.sample_delay_ns = cpu_s * 1e9 / static_cast<double>(timing.calls);
+    timing.mean_delay_ms = to_ms(sum) / static_cast<double>(timing.calls);
+  }
+  return timing;
+}
+
 harness::NodeSpec fleet_node_spec(std::size_t index, Rng& rng) {
   harness::NodeSpec spec;
   spec.name = "n" + std::to_string(index);
@@ -162,7 +218,9 @@ harness::NodeSpec fleet_node_spec(std::size_t index, Rng& rng) {
   return spec;
 }
 
-ScaleResult run_scale_scenario(int clients, int nodes, double sim_seconds) {
+// `network`, when given, receives the delay-sampling timing of the fleet.
+ScaleResult run_scale_scenario(int clients, int nodes, double sim_seconds,
+                               NetworkTiming* network = nullptr) {
   ScaleResult result;
   result.clients = clients;
   result.nodes = nodes;
@@ -229,6 +287,9 @@ ScaleResult run_scale_scenario(int clients, int nodes, double sim_seconds) {
   result.latency_p50_ms = fleet.latency_p50_ms;
   result.latency_p99_ms = fleet.latency_p99_ms;
   result.peak_rss_mb = peak_rss_mb();
+  if (network != nullptr) {
+    *network = time_sample_delay(*scenario, scenario->rng().fork("pairs"));
+  }
   return result;
 }
 
@@ -380,6 +441,7 @@ void print_scale(const ScaleResult& r) {
 
 void write_json(const std::string& path, const DiscoveryResult& disc,
                 const ScaleResult& main_run, const ScaleResult& smoke,
+                const NetworkTiming& network,
                 const std::vector<ShardSweepResult>& sweep) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
@@ -413,6 +475,11 @@ void write_json(const std::string& path, const DiscoveryResult& disc,
   scale_json("scale", main_run);
   std::fprintf(f, ",\n");
   scale_json("smoke", smoke);
+  std::fprintf(f,
+               ",\n  \"network\": {\"pairs\": %zu, \"calls\": %zu, "
+               "\"sample_delay_ns\": %.1f, \"mean_delay_ms\": %.3f}",
+               network.pairs, network.calls, network.sample_delay_ns,
+               network.mean_delay_ms);
   if (!sweep.empty()) {
     // One line per entry so shell gates can grep a whole record at once.
     std::fprintf(f, ",\n  \"shard_sweep\": [\n");
@@ -502,8 +569,12 @@ int main(int argc, char** argv) {
   dtable.print();
 
   print_section("smoke fleet (2000 clients / 200 nodes)");
-  const ScaleResult smoke = run_scale_scenario(2000, 200, seconds);
+  NetworkTiming network;
+  const ScaleResult smoke = run_scale_scenario(2000, 200, seconds, &network);
   print_scale(smoke);
+  std::printf("sample_delay over %zu client->node pairs: %.1f ns/call "
+              "(mean delay %.3f ms)\n",
+              network.pairs, network.sample_delay_ns, network.mean_delay_ms);
 
   ScaleResult main_run = smoke;
   if (clients != 2000 || nodes != 200) {
@@ -536,6 +607,6 @@ int main(int argc, char** argv) {
     print_shard_sweep(sweep);
   }
 
-  if (json) write_json(json_path, disc, main_run, smoke, sweep);
+  if (json) write_json(json_path, disc, main_run, smoke, network, sweep);
   return 0;
 }

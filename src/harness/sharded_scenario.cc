@@ -30,23 +30,17 @@ ShardedScenario::ShardedScenario(ShardedConfig config, NetKind kind,
   const unsigned shards = std::max(1u, config_.shards);
   pool_ = std::make_unique<WindowPool>(
       std::max(1u, resolve_thread_count(config_.threads)));
+  // One model for every domain: lookups are const and write nothing, so
+  // concurrent windows can share it; hosts are added only between windows.
+  if (kind_ == NetKind::kGeo) {
+    model_ = std::make_unique<net::GeoNetwork>(jitter_sigma);
+  } else {
+    model_ = std::make_unique<net::MatrixNetwork>(default_rtt_ms,
+                                                  default_bw_mbps, jitter_sigma);
+  }
   for (unsigned s = 0; s < shards; ++s) {
     Domain& d = domains_.emplace_back();
-    if (kind_ == NetKind::kGeo) {
-      if (s == 0) {
-        d.model = std::make_unique<net::GeoNetwork>(jitter_sigma);
-      } else {
-        // Views share domain 0's host map; each keeps a private pair memo.
-        auto* base = static_cast<net::GeoNetwork*>(domains_[0].model.get());
-        d.model = base->shared_view();
-      }
-    } else {
-      // Fresh per-domain matrix with identical parameters. ShardedScenario
-      // exposes no matrix mutators, so the instances never diverge.
-      d.model = std::make_unique<net::MatrixNetwork>(
-          default_rtt_ms, default_bw_mbps, jitter_sigma);
-    }
-    d.fabric = std::make_unique<net::SimNetwork>(d.sim, *d.model, d.hosts,
+    d.fabric = std::make_unique<net::SimNetwork>(d.sim, *model_, d.hosts,
                                                  rng_.fork("fabric"));
     // Same seed everywhere: a message's jitter must not depend on which
     // domain sampled it.
@@ -88,7 +82,7 @@ ShardedScenario::ShardedScenario(ShardedConfig config, NetKind kind,
 }
 
 net::GeoNetwork* ShardedScenario::geo_network() {
-  return dynamic_cast<net::GeoNetwork*>(domains_[0].model.get());
+  return dynamic_cast<net::GeoNetwork*>(model_.get());
 }
 
 std::string ShardedScenario::geohash_of(const geo::GeoPoint& position) const {
@@ -117,7 +111,7 @@ void ShardedScenario::register_position(HostId host,
                                         const std::string& network_tag) {
   min_last_mile_ms_ =
       std::min(min_last_mile_ms_, net::GeoNetwork::tier_latency_ms(tier));
-  auto* geo_net = dynamic_cast<net::GeoNetwork*>(domains_[0].model.get());
+  auto* geo_net = dynamic_cast<net::GeoNetwork*>(model_.get());
   if (geo_net == nullptr) return;
   // Same tag→isp hash as Scenario::register_position.
   int isp = -1;
@@ -360,12 +354,12 @@ SimDuration ShardedScenario::lookahead() const {
   const bool cross = cross_domain_pairs_exist();
   if (!cross && !config_.force_windows) return kHugeWindow;
 
-  const net::NetworkModel& model = *domains_[0].model;
+  const net::NetworkModel& model = *model_;
   double min_owd_us = 1e30;
   if (next_host_ <= kExactLookaheadHosts) {
-    // Exact: minimum base one-way delay over every relevant pair (cached
-    // per pair inside domain 0's model). With force_windows and no cross
-    // pair, every pair is "relevant" so the window still has a real floor.
+    // Exact: minimum base one-way delay over every relevant pair. With
+    // force_windows and no cross pair, every pair is "relevant" so the
+    // window still has a real floor.
     for (std::uint32_t a = 0; a < next_host_; ++a) {
       for (std::uint32_t b = a + 1; b < next_host_; ++b) {
         if (cross && host_domain_[a] == host_domain_[b]) continue;

@@ -21,7 +21,9 @@
 // Threading: domains within a window run on a persistent WindowPool;
 // threads == 1 (the default) runs them inline. Everything between windows
 // (barriers, build calls, fault injection, stat readers) is
-// single-threaded by construction.
+// single-threaded by construction. Every domain's fabric samples the one
+// network model the scenario owns; its lookups write nothing, so windows
+// share it without locks.
 #pragma once
 
 #include <cstdint>
@@ -104,13 +106,11 @@ class ShardedScenario {
   [[nodiscard]] sim::Simulator& simulator_of(std::size_t domain) {
     return domains_[domain].sim;
   }
-  // The shared-topology GeoNetwork (domain 0's instance), null for kMatrix.
+  // The GeoNetwork every domain samples from, null for kMatrix.
   [[nodiscard]] net::GeoNetwork* geo_network();
-  // Domain 0's model; base RTTs are identical in every domain by
-  // construction (shared topology for kGeo, identical parameters for
-  // kMatrix).
+  // The one network model shared by every domain's fabric.
   [[nodiscard]] const net::NetworkModel& network_model() const {
-    return *domains_[0].model;
+    return *model_;
   }
 
   // ---- nodes (global indices, in add order across all domains) ----
@@ -194,7 +194,6 @@ class ShardedScenario {
   struct Domain {
     sim::Simulator sim;
     sim::SimScheduler scheduler{sim};
-    std::unique_ptr<net::NetworkModel> model;
     net::HostTable hosts;
     net::FaultInjector faults;
     std::unique_ptr<net::SimNetwork> fabric;
@@ -230,6 +229,8 @@ class ShardedScenario {
   double default_rtt_ms_;
   Rng rng_;
   net::ShardRouter router_;
+  // Declared before domains_ so it outlives every fabric sampling from it.
+  std::unique_ptr<net::NetworkModel> model_;
   std::deque<Domain> domains_;
   std::unique_ptr<manager::CentralManager> manager_;
   HostId manager_host_;

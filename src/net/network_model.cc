@@ -31,18 +31,15 @@ MatrixNetwork::MatrixNetwork(double default_rtt_ms, double default_bw_mbps,
 void MatrixNetwork::set_rtt_ms(HostId a, HostId b, double rtt_ms) {
   rtt_ms_[key(a, b)] = rtt_ms;
   rtt_ms_[key(b, a)] = rtt_ms;
-  ++version_;
 }
 
 void MatrixNetwork::set_bandwidth_mbps(HostId a, HostId b, double mbps) {
   bw_mbps_[key(a, b)] = mbps;
   bw_mbps_[key(b, a)] = mbps;
-  ++version_;
 }
 
 void MatrixNetwork::set_uplink_mbps(HostId host, double mbps) {
   uplink_mbps_[host] = mbps;
-  ++version_;
 }
 
 SimDuration MatrixNetwork::base_rtt(HostId a, HostId b) const {
@@ -107,100 +104,33 @@ double GeoNetwork::tier_uplink_mbps(AccessTier tier) {
 }
 
 GeoNetwork::GeoNetwork(double jitter_sigma, double pair_variation_ms)
-    : jitter_sigma_(jitter_sigma),
-      pair_variation_ms_(pair_variation_ms),
-      shared_(std::make_shared<SharedTopology>()) {}
-
-GeoNetwork::GeoNetwork(std::shared_ptr<SharedTopology> shared,
-                       double jitter_sigma, double pair_variation_ms)
-    : jitter_sigma_(jitter_sigma),
-      pair_variation_ms_(pair_variation_ms),
-      shared_(std::move(shared)) {}
-
-std::unique_ptr<GeoNetwork> GeoNetwork::shared_view() const {
-  return std::unique_ptr<GeoNetwork>(
-      new GeoNetwork(shared_, jitter_sigma_, pair_variation_ms_));
-}
+    : jitter_sigma_(jitter_sigma), pair_variation_ms_(pair_variation_ms) {}
 
 void GeoNetwork::add_host(HostId host, geo::GeoPoint position, AccessTier tier,
                           int isp) {
-  shared_->hosts[host] = HostInfo{position, tier, 0.0, isp};
-  ++shared_->version;
+  if (!host.valid()) return;  // the wildcard id is never a real host
+  if (host.value >= hosts_.size()) hosts_.resize(host.value + 1);
+  hosts_[host.value] =
+      HostInfo{position, geo::cos_lat(position), 0.0, tier, isp, true};
 }
 
 std::optional<geo::GeoPoint> GeoNetwork::position(HostId host) const {
-  const auto it = shared_->hosts.find(host);
-  if (it == shared_->hosts.end()) return std::nullopt;
-  return it->second.position;
+  const HostInfo* info = host_info(host);
+  if (info == nullptr) return std::nullopt;
+  return info->position;
 }
 
 void GeoNetwork::set_extra_rtt_ms(HostId host, double ms) {
-  if (const auto it = shared_->hosts.find(host); it != shared_->hosts.end()) {
-    it->second.extra_rtt_ms = ms;
-    ++shared_->version;
-  }
-}
-
-void GeoNetwork::invalidate_cache() const {
-  cache_.clear();
-  cache_used_ = 0;
-  cache_version_ = shared_->version;
-}
-
-const GeoNetwork::PairMetrics& GeoNetwork::cached_pair(HostId a,
-                                                       HostId b) const {
-  // Lazy invalidation: a topology mutation (possibly through another view
-  // of the shared host map) bumps the shared version; the first lookup
-  // after that drops this view's memo.
-  if (cache_version_ != shared_->version) invalidate_cache();
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(a.value) << 32) | b.value;
-  if (cache_.empty()) cache_.resize(256);
-  // Fibonacci hashing spreads the sequential host-id pairs well enough for
-  // linear probing at <= 70% load.
-  std::size_t mask = cache_.size() - 1;
-  std::size_t index = (key * 0x9e3779b97f4a7c15ull >> 32) & mask;
-  while (cache_[index].key != key) {
-    if (cache_[index].key == kEmptyKey) {
-      if (cache_used_ * 10 >= cache_.size() * 7) {  // grow and rehash
-        std::vector<PairCacheEntry> old = std::move(cache_);
-        cache_.assign(old.size() * 2, PairCacheEntry{});
-        mask = cache_.size() - 1;
-        for (const PairCacheEntry& entry : old) {
-          if (entry.key == kEmptyKey) continue;
-          std::size_t j = (entry.key * 0x9e3779b97f4a7c15ull >> 32) & mask;
-          while (cache_[j].key != kEmptyKey) j = (j + 1) & mask;
-          cache_[j] = entry;
-        }
-        index = (key * 0x9e3779b97f4a7c15ull >> 32) & mask;
-        while (cache_[index].key != kEmptyKey &&
-               cache_[index].key != key) {
-          index = (index + 1) & mask;
-        }
-        if (cache_[index].key == key) return cache_[index].metrics;
-      }
-      cache_[index].key = key;
-      cache_[index].metrics = compute_pair(a, b);
-      ++cache_used_;
-      return cache_[index].metrics;
-    }
-    index = (index + 1) & mask;
-  }
-  return cache_[index].metrics;
+  if (host_info(host) != nullptr) hosts_[host.value].extra_rtt_ms = ms;
 }
 
 SimDuration GeoNetwork::base_rtt(HostId a, HostId b) const {
-  if (a == b) return msec(0.05);
-  return cached_pair(a, b).rtt;
-}
-
-GeoNetwork::PairMetrics GeoNetwork::compute_pair(HostId a, HostId b) const {
-  const auto ia = shared_->hosts.find(a);
-  const auto ib = shared_->hosts.find(b);
-  if (ia == shared_->hosts.end() || ib == shared_->hosts.end()) {
-    return PairMetrics{msec(50.0), 10.0};
-  }
-  const double km = geo::haversine_km(ia->second.position, ib->second.position);
+  if (a == b) return msec(0.05);  // loopback
+  const HostInfo* ia = host_info(a);
+  const HostInfo* ib = host_info(b);
+  if (ia == nullptr || ib == nullptr) return msec(50.0);
+  const double km =
+      geo::haversine_km(ia->position, ib->position, ia->cos_lat, ib->cos_lat);
   // RTT = both last-miles traversed twice + distance propagation + fixed
   // extras (e.g. backbone to the cloud region).
   // Deterministic per-pair peering: the same two hosts always see the same
@@ -223,12 +153,11 @@ GeoNetwork::PairMetrics GeoNetwork::compute_pair(HostId a, HostId b) const {
     return tier == AccessTier::kLan || tier == AccessTier::kFiber ||
            tier == AccessTier::kCable || tier == AccessTier::kDsl;
   };
-  const bool well_peered =
-      residential(ia->second.tier) && residential(ib->second.tier) &&
-      km < 30.0 && ia->second.isp >= 0 && ia->second.isp == ib->second.isp;
+  const bool well_peered = residential(ia->tier) && residential(ib->tier) &&
+                           km < 30.0 && ia->isp >= 0 && ia->isp == ib->isp;
 
-  double last_mile = tier_params(ia->second.tier).latency_ms * 2.0 +
-                     tier_params(ib->second.tier).latency_ms * 2.0;
+  double last_mile = tier_params(ia->tier).latency_ms * 2.0 +
+                     tier_params(ib->tier).latency_ms * 2.0;
   double peering = 0.0;
   if (well_peered) {
     last_mile *= 0.25;
@@ -236,26 +165,23 @@ GeoNetwork::PairMetrics GeoNetwork::compute_pair(HostId a, HostId b) const {
     peering = pair_variation_ms_ * u;
     // Paths into engineered infrastructure (Local Zone / cloud) vary less
     // than residential peering does.
-    if (!residential(ia->second.tier) || !residential(ib->second.tier)) {
+    if (!residential(ia->tier) || !residential(ib->tier)) {
       peering *= 0.4;
     }
   }
 
   const double rtt_ms = last_mile + distance_rtt_ms(km) + peering +
-                        ia->second.extra_rtt_ms + ib->second.extra_rtt_ms;
-  const double bw = std::min(tier_params(ia->second.tier).uplink_mbps,
-                             tier_params(ib->second.tier).uplink_mbps);
-  return PairMetrics{msec(rtt_ms), bw};
+                        ia->extra_rtt_ms + ib->extra_rtt_ms;
+  return msec(rtt_ms);
 }
 
 double GeoNetwork::bandwidth_mbps(HostId a, HostId b) const {
-  if (a == b) {
-    const auto it = shared_->hosts.find(a);
-    return it == shared_->hosts.end()
-               ? 10.0
-               : tier_params(it->second.tier).uplink_mbps;
-  }
-  return cached_pair(a, b).bw_mbps;
+  // The path is as fast as the slower of the two access uplinks.
+  const HostInfo* ia = host_info(a);
+  const HostInfo* ib = host_info(b);
+  if (ia == nullptr || ib == nullptr) return 10.0;
+  return std::min(tier_params(ia->tier).uplink_mbps,
+                  tier_params(ib->tier).uplink_mbps);
 }
 
 }  // namespace eden::net

@@ -4,7 +4,6 @@
 // ISP access-tier model (the real-world measurements of Fig 1).
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -29,16 +28,6 @@ class NetworkModel {
   // log-normally distributed around 1. sigma=0 disables jitter.
   [[nodiscard]] virtual double jitter_sigma() const { return 0.0; }
 
-  // Monotone counter identifying the current topology: while it holds
-  // steady, base_rtt/bandwidth_mbps are pure functions of the host pair
-  // and callers may memoize them per pair (SimNetwork does). Returning
-  // kTimeVaryingTopology (the default — correct for trace playback and
-  // for ad-hoc test models) opts out of all caching.
-  static constexpr std::uint64_t kTimeVaryingTopology = 0;
-  [[nodiscard]] virtual std::uint64_t topology_version() const {
-    return kTimeVaryingTopology;
-  }
-
   // One random one-way delay sample (half the base RTT, jittered).
   [[nodiscard]] SimDuration sample_owd(HostId a, HostId b, Rng& rng) const;
 
@@ -61,9 +50,6 @@ class MatrixNetwork final : public NetworkModel {
   [[nodiscard]] SimDuration base_rtt(HostId a, HostId b) const override;
   [[nodiscard]] double bandwidth_mbps(HostId a, HostId b) const override;
   [[nodiscard]] double jitter_sigma() const override { return jitter_sigma_; }
-  [[nodiscard]] std::uint64_t topology_version() const override {
-    return version_;
-  }
 
  private:
   using Key = std::uint64_t;
@@ -74,7 +60,6 @@ class MatrixNetwork final : public NetworkModel {
   double default_rtt_ms_;
   double default_bw_mbps_;
   double jitter_sigma_;
-  std::uint64_t version_{1};
   std::unordered_map<Key, double> rtt_ms_;
   std::unordered_map<Key, double> bw_mbps_;
   std::unordered_map<HostId, double> uplink_mbps_;
@@ -100,12 +85,12 @@ enum class AccessTier {
 // paper's same-local-loop volunteers, and what the discovery request's
 // network-affiliation hint points the manager at.
 //
-// base_rtt/bandwidth_mbps are memoized per ordered pair in a flat
-// open-addressed table (the haversine + tier + peering-hash work runs once
-// per pair, not once per sample); add_host and set_extra_rtt_ms invalidate
-// the cache. The memo makes const lookups write the cache, so a single
-// GeoNetwork instance must not be shared across threads — each parallel
-// replicate builds its own world (see harness::ParallelRunner).
+// Hosts live in a dense vector indexed by HostId::value (host ids are
+// small dense integers in every harness, as in HostTable), each record
+// carrying its cos(latitude) so a pair's haversine skips two cosines.
+// base_rtt/bandwidth_mbps compute each pair directly from the two records
+// and write nothing, so concurrent const use is safe; mutations
+// (add_host, set_extra_rtt_ms) take effect on the next lookup.
 class GeoNetwork final : public NetworkModel {
  public:
   explicit GeoNetwork(double jitter_sigma = 0.08,
@@ -123,18 +108,6 @@ class GeoNetwork final : public NetworkModel {
   [[nodiscard]] SimDuration base_rtt(HostId a, HostId b) const override;
   [[nodiscard]] double bandwidth_mbps(HostId a, HostId b) const override;
   [[nodiscard]] double jitter_sigma() const override { return jitter_sigma_; }
-  [[nodiscard]] std::uint64_t topology_version() const override {
-    return shared_->version;
-  }
-
-  // A view sharing this network's host topology: one host map, one version
-  // counter, but a private pair cache. The sharded harness gives every
-  // shard domain a view so N hosts are stored once instead of once per
-  // shard; a mutation through any view (or the original) bumps the shared
-  // version and every cache lazily invalidates. Not safe for concurrent
-  // mutation — the sharded runner mutates only between windows, and
-  // during windows each domain fills only its own cache.
-  [[nodiscard]] std::unique_ptr<GeoNetwork> shared_view() const;
 
   // Per-tier last-mile one-way latency (ms) and uplink bandwidth (Mbps).
   static double tier_latency_ms(AccessTier tier);
@@ -143,40 +116,24 @@ class GeoNetwork final : public NetworkModel {
  private:
   struct HostInfo {
     geo::GeoPoint position;
-    AccessTier tier{AccessTier::kCable};
+    double cos_lat{1.0};  // geo::cos_lat(position)
     double extra_rtt_ms{0};
+    AccessTier tier{AccessTier::kCable};
     int isp{-1};
+    bool present{false};
   };
-  struct SharedTopology {
-    std::unordered_map<HostId, HostInfo> hosts;
-    std::uint64_t version{1};
-  };
-  struct PairMetrics {
-    SimDuration rtt{0};
-    double bw_mbps{0};
-  };
-  // Open-addressed (linear probe, power-of-two capacity) memo keyed on the
-  // ordered pair (a << 32 | b). The key for a == b never occurs (loopback
-  // early-returns), so an all-ones key marks empty slots.
-  struct PairCacheEntry {
-    std::uint64_t key{kEmptyKey};
-    PairMetrics metrics;
-  };
-  static constexpr std::uint64_t kEmptyKey = ~0ull;
 
-  GeoNetwork(std::shared_ptr<SharedTopology> shared, double jitter_sigma,
-             double pair_variation_ms);
-
-  [[nodiscard]] PairMetrics compute_pair(HostId a, HostId b) const;
-  [[nodiscard]] const PairMetrics& cached_pair(HostId a, HostId b) const;
-  void invalidate_cache() const;
+  // The record of `host`, or null for a host never added.
+  [[nodiscard]] const HostInfo* host_info(HostId host) const {
+    if (host.value >= hosts_.size() || !hosts_[host.value].present) {
+      return nullptr;
+    }
+    return &hosts_[host.value];
+  }
 
   double jitter_sigma_;
   double pair_variation_ms_;
-  std::shared_ptr<SharedTopology> shared_;
-  mutable std::uint64_t cache_version_{0};  // shared version the cache holds
-  mutable std::vector<PairCacheEntry> cache_;
-  mutable std::size_t cache_used_{0};
+  std::vector<HostInfo> hosts_;  // indexed by HostId::value
 };
 
 }  // namespace eden::net

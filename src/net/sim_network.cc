@@ -154,34 +154,23 @@ void SimNetwork::consume_request(std::uint64_t handle) {
 }
 
 SimDuration SimNetwork::sample_delay(HostId from, HostId to, double bytes) {
-  const std::uint64_t version = model_->topology_version();
-  SimDuration delay;
-  if (version == NetworkModel::kTimeVaryingTopology) {
-    // Time-varying model (trace playback): per-pair invariants do not
-    // exist, take the fully virtual path.
-    delay = model_->sample_owd(from, to, rng_) +
-            model_->transfer_delay(from, to, bytes);
-  } else {
-    const PairDelay& pair = pair_delay(from, to, version);
-    double owd_us = pair.owd_us;
-    // Same draw stream and same float expression as NetworkModel::
-    // sample_owd — only the base_rtt/bandwidth virtual calls are memoized.
-    // Deterministic mode swaps the shared Rng stream for a counter-based
-    // draw keyed by (seed, directed pair, message index): the jitter of a
-    // given message is then independent of every other pair's traffic —
-    // the property that makes sharded executions bit-identical.
-    if (jitter_sigma_ > 0) {
-      if (!deterministic_) [[likely]] {
-        owd_us *= rng_.lognormal(0.0, jitter_sigma_);
-      } else {
-        const std::uint64_t key =
-            (static_cast<std::uint64_t>(to.value) << 32) | from.value;
-        owd_us *= det_jitter_factor(key, peek_pair_seq(key));
-      }
+  double owd_us = static_cast<double>(model_->base_rtt(from, to)) / 2.0;
+  // Same draw stream and same float expression as NetworkModel::
+  // sample_owd. Deterministic mode swaps the shared Rng stream for a
+  // counter-based draw keyed by (seed, directed pair, message index): the
+  // jitter of a given message is then independent of every other pair's
+  // traffic — the property that makes sharded executions bit-identical.
+  if (jitter_sigma_ > 0) {
+    if (!deterministic_) [[likely]] {
+      owd_us *= rng_.lognormal(0.0, jitter_sigma_);
+    } else {
+      const std::uint64_t key =
+          (static_cast<std::uint64_t>(to.value) << 32) | from.value;
+      owd_us *= det_jitter_factor(key, peek_pair_seq(key));
     }
-    delay = static_cast<SimDuration>(owd_us);
-    if (bytes > 0) delay += sec(bytes * 8.0 / pair.bw_denom);
   }
+  SimDuration delay = static_cast<SimDuration>(owd_us) +
+                      model_->transfer_delay(from, to, bytes);
   if (faults_ != nullptr) {
     const double factor = faults_->delay_factor(from, to, simulator_->now());
     delay = static_cast<SimDuration>(static_cast<double>(delay) * factor);
@@ -251,62 +240,6 @@ double SimNetwork::det_jitter_factor(std::uint64_t key,
   double n = std::sqrt(-2.0 * std::log(u1)) * std::cos(kTwoPi * u2);
   n = std::clamp(n, -kDetJitterZClamp, kDetJitterZClamp);
   return std::exp(jitter_sigma_ * n);
-}
-
-SimNetwork::PairDelay SimNetwork::compute_pair_delay(HostId from,
-                                                     HostId to) const {
-  PairDelay pair;
-  pair.owd_us = static_cast<double>(model_->base_rtt(from, to)) / 2.0;
-  pair.bw_denom = std::max(0.01, model_->bandwidth_mbps(from, to)) * 1e6;
-  return pair;
-}
-
-const SimNetwork::PairDelay& SimNetwork::pair_delay(HostId from, HostId to,
-                                                    std::uint64_t version) {
-  if (version != delay_cache_version_) {
-    delay_cache_.assign(delay_cache_.empty() ? 256 : delay_cache_.size(),
-                        PairDelayEntry{});
-    delay_cache_used_ = 0;
-    delay_cache_version_ = version;
-  }
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(from.value) << 32) | to.value;
-  if (key == kEmptyPairKey) {
-    // Both hosts invalid — never happens on real traffic, but tests may
-    // probe it; compute without caching rather than corrupt the table.
-    scratch_pair_ = compute_pair_delay(from, to);
-    return scratch_pair_;
-  }
-  if (delay_cache_.empty()) delay_cache_.resize(256);
-  std::size_t mask = delay_cache_.size() - 1;
-  std::size_t index = (key * 0x9e3779b97f4a7c15ull >> 32) & mask;
-  while (delay_cache_[index].key != key) {
-    if (delay_cache_[index].key == kEmptyPairKey) {
-      if (delay_cache_used_ * 10 >= delay_cache_.size() * 7) {
-        std::vector<PairDelayEntry> old = std::move(delay_cache_);
-        delay_cache_.assign(old.size() * 2, PairDelayEntry{});
-        mask = delay_cache_.size() - 1;
-        for (const PairDelayEntry& entry : old) {
-          if (entry.key == kEmptyPairKey) continue;
-          std::size_t j = (entry.key * 0x9e3779b97f4a7c15ull >> 32) & mask;
-          while (delay_cache_[j].key != kEmptyPairKey) j = (j + 1) & mask;
-          delay_cache_[j] = entry;
-        }
-        index = (key * 0x9e3779b97f4a7c15ull >> 32) & mask;
-        while (delay_cache_[index].key != kEmptyPairKey &&
-               delay_cache_[index].key != key) {
-          index = (index + 1) & mask;
-        }
-        if (delay_cache_[index].key == key) return delay_cache_[index].delay;
-      }
-      delay_cache_[index].key = key;
-      delay_cache_[index].delay = compute_pair_delay(from, to);
-      ++delay_cache_used_;
-      return delay_cache_[index].delay;
-    }
-    index = (index + 1) & mask;
-  }
-  return delay_cache_[index].delay;
 }
 
 }  // namespace eden::net

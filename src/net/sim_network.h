@@ -10,9 +10,9 @@
 // inline buffer, the route of the pending exchange, and two lifecycle
 // flags; timeout-vs-response races resolve through the `done_fired` flag
 // and stale handles fail a generation check exactly like the simulator's
-// event arena. Per-pair delay invariants (half base RTT, bandwidth
-// denominator) are memoized against NetworkModel::topology_version() so a
-// steady-state delivery costs one hash probe and one jitter draw.
+// event arena. A delay sample asks the network model for the pair's base
+// RTT and transfer delay afresh, so model mutations (MatrixNetwork::
+// set_rtt_ms, GeoNetwork::set_extra_rtt_ms, ...) apply to the next send.
 #pragma once
 
 #include <memory>
@@ -554,22 +554,6 @@ class SimNetwork {
     if (slot->request_consumed) release_rpc_slot(handle_index(handle));
   }
 
-  // ---- per-pair delay memo ----
-
-  struct PairDelay {
-    double owd_us;    // base_rtt / 2, the per-sample invariant
-    double bw_denom;  // max(0.01, bandwidth_mbps) * 1e6
-  };
-  struct PairDelayEntry {
-    std::uint64_t key{kEmptyPairKey};
-    PairDelay delay;
-  };
-  static constexpr std::uint64_t kEmptyPairKey = ~0ull;
-
-  [[nodiscard]] const PairDelay& pair_delay(HostId from, HostId to,
-                                            std::uint64_t version);
-  [[nodiscard]] PairDelay compute_pair_delay(HostId from, HostId to) const;
-
   sim::Simulator* simulator_;
   const NetworkModel* model_;
   HostTable* hosts_;
@@ -584,7 +568,8 @@ class SimNetwork {
   std::uint32_t shard_id_{0};
   // Open-addressed per-directed-pair message counters (deterministic mode
   // only): jitter for message n is hashed from n, and n is the canonical
-  // delivery-key tiebreak.
+  // delivery-key tiebreak. An all-ones key marks an empty slot.
+  static constexpr std::uint64_t kEmptyPairKey = ~0ull;
   struct PairSeqEntry {
     std::uint64_t key{kEmptyPairKey};
     std::uint64_t next{0};
@@ -596,13 +581,6 @@ class SimNetwork {
   std::vector<std::unique_ptr<RpcSlot[]>> rpc_chunks_;
   std::uint32_t rpc_free_head_{kNoFreeSlot};
   std::size_t rpc_in_use_{0};
-
-  // Open-addressed per-pair delay memo, validated against the model's
-  // topology version (0 = time-varying model, never cached).
-  std::vector<PairDelayEntry> delay_cache_;
-  std::size_t delay_cache_used_{0};
-  std::uint64_t delay_cache_version_{0};
-  PairDelay scratch_pair_{};  // fallback for the uncacheable all-ones key
 };
 
 }  // namespace eden::net

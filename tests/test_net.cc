@@ -141,10 +141,10 @@ TEST(GeoNetwork, PeeringOffsetIsDeterministicPerPair) {
   EXPECT_NE(net.base_rtt(HostId{1}, HostId{3}), r12);
 }
 
-TEST(GeoNetwork, CachedLookupsMatchFreshInstance) {
-  // The pair-metrics memo must be invisible: a network that has served
-  // thousands of (possibly repeated) queries answers identically to a
-  // fresh instance computing each pair for the first time.
+TEST(GeoNetwork, RepeatedLookupsMatchFreshInstance) {
+  // Lookups are pure: a network that has served thousands of (possibly
+  // repeated) queries answers identically to a fresh instance computing
+  // each pair for the first time.
   auto build = [] {
     GeoNetwork net(0.0);
     Rng rng(42);
@@ -156,7 +156,7 @@ TEST(GeoNetwork, CachedLookupsMatchFreshInstance) {
     return net;
   };
   GeoNetwork hot = build();
-  for (int pass = 0; pass < 3; ++pass) {  // repeated = served from cache
+  for (int pass = 0; pass < 3; ++pass) {  // every pair asked three times
     for (std::uint32_t a = 1; a <= 20; ++a) {
       for (std::uint32_t b = 1; b <= 20; ++b) {
         (void)hot.base_rtt(HostId{a}, HostId{b});
@@ -175,11 +175,11 @@ TEST(GeoNetwork, CachedLookupsMatchFreshInstance) {
   }
 }
 
-TEST(GeoNetwork, SetExtraRttInvalidatesCache) {
+TEST(GeoNetwork, SetExtraRttTakesEffect) {
   GeoNetwork net(0.0);
   net.add_host(kA, {44.98, -93.26}, AccessTier::kCable);
   net.add_host(kB, {44.99, -93.27}, AccessTier::kCable);
-  const auto before = net.base_rtt(kA, kB);  // caches the pair
+  const auto before = net.base_rtt(kA, kB);  // asked before the penalty
   net.set_extra_rtt_ms(kB, 25.0);
   const auto after = net.base_rtt(kA, kB);
   EXPECT_EQ(after - before, msec(25.0));  // kB's fixed penalty now applies
@@ -187,13 +187,12 @@ TEST(GeoNetwork, SetExtraRttInvalidatesCache) {
   EXPECT_EQ(net.base_rtt(kA, kB), before);
 }
 
-TEST(GeoNetwork, AddHostInvalidatesCache) {
-  // Adding a host must not leave stale metrics for existing pairs — in
-  // particular a previously-unknown host that was answered with the
-  // fallback RTT must get real metrics once registered.
+TEST(GeoNetwork, AddHostReplacesFallback) {
+  // A previously-unknown host that was answered with the fallback RTT
+  // must get real metrics once registered.
   GeoNetwork net(0.0);
   net.add_host(kA, {44.98, -93.26}, AccessTier::kCable);
-  EXPECT_EQ(net.base_rtt(kA, kB), msec(50.0));  // fallback, now cached
+  EXPECT_EQ(net.base_rtt(kA, kB), msec(50.0));  // fallback: kB unknown
   net.add_host(kB, {44.99, -93.27}, AccessTier::kCable);
   EXPECT_NE(net.base_rtt(kA, kB), msec(50.0));
   EXPECT_LT(net.base_rtt(kA, kB), msec(45.0));
@@ -204,6 +203,24 @@ TEST(GeoNetwork, UnknownHostGetsFallback) {
   net.add_host(kA, {44.98, -93.26}, AccessTier::kCable);
   EXPECT_EQ(net.base_rtt(kA, HostId{99}), msec(50.0));
   EXPECT_FALSE(net.position(HostId{99}).has_value());
+}
+
+TEST(GeoNetwork, InvalidAndUnaddedHostsGetFallback) {
+  GeoNetwork net(0.0);
+  net.add_host(HostId{}, {44.98, -93.26}, AccessTier::kFiber);  // ignored
+  net.add_host(kA, {44.98, -93.26}, AccessTier::kFiber);
+  net.add_host(kB, {44.99, -93.27}, AccessTier::kFiber);
+  EXPECT_FALSE(net.position(HostId{}).has_value());
+  EXPECT_EQ(net.base_rtt(kA, HostId{}), msec(50.0));
+  EXPECT_DOUBLE_EQ(net.bandwidth_mbps(kA, HostId{}), 10.0);
+  // Ids past the last added host: the next one, and one far beyond it.
+  for (const HostId beyond : {kC, HostId{1000}}) {
+    EXPECT_FALSE(net.position(beyond).has_value());
+    EXPECT_EQ(net.base_rtt(kA, beyond), msec(50.0));
+    EXPECT_EQ(net.base_rtt(beyond, kB), msec(50.0));
+    EXPECT_DOUBLE_EQ(net.bandwidth_mbps(kA, beyond), 10.0);
+    EXPECT_DOUBLE_EQ(net.bandwidth_mbps(beyond, beyond), 10.0);
+  }
 }
 
 TEST(GeoNetwork, BandwidthIsMinOfTiers) {
@@ -251,6 +268,52 @@ TEST_F(SimNetworkTest, DeliverChecksLivenessAtArrivalTime) {
   simulator_.schedule_at(msec(5.0), [&] { hosts_.set_alive(kB, false); });
   simulator_.run_all();
   EXPECT_FALSE(arrived);
+}
+
+// Benches and examples mutate the model mid-run (e.g. a degraded link);
+// the next message must see the new value.
+TEST_F(SimNetworkTest, SetRttTakesEffectMidRun) {
+  SimTime arrived = -1;
+  fabric_.deliver(kA, kB, 0, [&] { arrived = simulator_.now(); });
+  simulator_.run_all();
+  ASSERT_EQ(arrived, msec(10.0));
+  model_.set_rtt_ms(kA, kB, 40.0);
+  fabric_.deliver(kA, kB, 0, [&] { arrived = simulator_.now(); });
+  simulator_.run_all();
+  EXPECT_EQ(arrived, msec(10.0) + msec(20.0));  // half of the new 40 ms
+}
+
+TEST_F(SimNetworkTest, SetUplinkTakesEffectMidRun) {
+  SimTime arrived = -1;
+  // 20 KB at the 100 Mbps default: 10 ms owd + 1.6 ms transfer.
+  fabric_.deliver(kA, kB, 20'000, [&] { arrived = simulator_.now(); });
+  simulator_.run_all();
+  ASSERT_EQ(arrived, msec(11.6));
+  model_.set_uplink_mbps(kA, 10.0);  // now 16 ms transfer
+  const SimTime sent = simulator_.now();
+  fabric_.deliver(kA, kB, 20'000, [&] { arrived = simulator_.now(); });
+  simulator_.run_all();
+  EXPECT_EQ(arrived - sent, msec(10.0) + msec(16.0));
+}
+
+TEST(SimNetwork, GeoExtraRttTakesEffectMidRun) {
+  sim::Simulator simulator;
+  GeoNetwork model(0.0);
+  model.add_host(kA, {44.98, -93.26}, AccessTier::kCable);
+  model.add_host(kB, {44.99, -93.27}, AccessTier::kCable);
+  HostTable hosts;
+  hosts.set_alive(kB, true);
+  SimNetwork fabric(simulator, model, hosts, Rng(7));
+  SimTime arrived = -1;
+  fabric.deliver(kA, kB, 0, [&] { arrived = simulator.now(); });
+  simulator.run_all();
+  const SimDuration first = arrived;
+  ASSERT_GT(first, 0);
+  model.set_extra_rtt_ms(kB, 30.0);  // +30 ms rtt = +15 ms one way
+  const SimTime sent = simulator.now();
+  fabric.deliver(kA, kB, 0, [&] { arrived = simulator.now(); });
+  simulator.run_all();
+  EXPECT_EQ(arrived - sent, first + msec(15.0));
 }
 
 TEST_F(SimNetworkTest, RpcRoundTrip) {

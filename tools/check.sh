@@ -89,6 +89,68 @@ awk -v ref="$REF_QPS" -v new="$NEW_QPS" 'BEGIN {
   }
 }' || exit 1
 
+# Exact-observables gate: the smoke fleet is deterministic, so its event
+# count, frames, discoveries, the discovery response digest and every shard
+# sweep row's events, frames and cross-shard message count must equal the
+# committed BENCH_scale.json exactly. A change that reorders events or
+# perturbs a sampled delay trips this even when wall-clock looks fine. A
+# deliberate behaviour change re-baselines by re-recording the file
+# (bench_scale --json) in the same commit.
+extract_field() {
+  # extract_field FILE OBJECT FIELD: FIELD's value inside "OBJECT": {...}.
+  sed -n "/\"$2\"/,/}/p" "$1" | grep -o "\"$3\": \"\?[0-9a-f.]*" |
+    head -1 | grep -o '[0-9a-f.]*$'
+}
+for spec in smoke:events smoke:frames_ok smoke:discoveries discovery:digest; do
+  obj="${spec%%:*}"
+  field="${spec#*:}"
+  REF_V=$(extract_field BENCH_scale.json "$obj" "$field")
+  NEW_V=$(extract_field "$SMOKE_JSON" "$obj" "$field")
+  if [ -z "$REF_V" ] || [ "$REF_V" != "$NEW_V" ]; then
+    echo "scale smoke: $obj.$field changed (committed='$REF_V' measured='$NEW_V')" >&2
+    exit 1
+  fi
+  echo "scale smoke $obj.$field: $NEW_V (exact)"
+done
+extract_sweep_rows() {
+  # One "shards events frames_ok cross_shard_messages" line per sweep row.
+  grep -o '{"shards": [0-9]*,[^]]*' "$1" | while read -r row; do
+    for field in shards events frames_ok cross_shard_messages; do
+      printf '%s ' "$(echo "$row" | grep -o "\"$field\": [0-9]*" |
+        grep -o '[0-9]*$')"
+    done
+    echo
+  done
+}
+REF_ROWS=$(extract_sweep_rows BENCH_scale.json)
+NEW_ROWS=$(extract_sweep_rows "$SMOKE_JSON")
+if [ -z "$REF_ROWS" ] || [ "$REF_ROWS" != "$NEW_ROWS" ]; then
+  echo "shard sweep: rows differ from the committed BENCH_scale.json" >&2
+  echo "committed:" >&2
+  echo "$REF_ROWS" >&2
+  echo "measured:" >&2
+  echo "$NEW_ROWS" >&2
+  exit 1
+fi
+echo "shard sweep rows (shards events frames_ok cross_shard_messages), exact:"
+echo "$NEW_ROWS"
+
+# Delay-sampling gate: ns per SimNetwork::sample_delay over the smoke
+# fleet's client->node pairs; more than 2x the committed value fails.
+REF_NET=$(extract_field BENCH_scale.json network sample_delay_ns)
+NEW_NET=$(extract_field "$SMOKE_JSON" network sample_delay_ns)
+if [ -z "$REF_NET" ] || [ -z "$NEW_NET" ]; then
+  echo "scale smoke: missing network sample_delay_ns (ref='$REF_NET' new='$NEW_NET')" >&2
+  exit 1
+fi
+echo "scale smoke sample_delay_ns: committed=$REF_NET measured=$NEW_NET"
+awk -v ref="$REF_NET" -v new="$NEW_NET" 'BEGIN {
+  if (new > 2.0 * ref) {
+    printf "scale smoke: sample_delay regression >2x (%.1f vs %.1f ns)\n", new, ref
+    exit 1
+  }
+}' || exit 1
+
 echo "=== [release] shard sweep gate (sharded == sequential observables) ==="
 # The smoke JSON now carries a shard sweep (1/2/4/8 shards over the same
 # fleet). Two gates: the sharded harness must report bit-identical
