@@ -1,18 +1,11 @@
 #include "check/fuzzer.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdarg>
-#include <cstdio>
 #include <optional>
-#include <stdexcept>
-#include <string>
 
+#include "check/recipe.h"
 #include "common/rng.h"
-#include "geo/geopoint.h"
 #include "harness/scenario.h"
-#include "manager/registry.h"
-#include "net/sim_network.h"
 
 namespace eden::check {
 
@@ -311,240 +304,24 @@ ScenarioSpec generate_spec(std::uint64_t seed, const FuzzLimits& limits) {
   return spec;
 }
 
-// ---- runner -----------------------------------------------------------
-
-namespace {
-
-std::string format_runner(const char* fmt, ...) {
-  char buf[192];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  return std::string(buf);
-}
-
-net::AccessTier clamp_tier(int tier) {
-  if (tier < static_cast<int>(net::AccessTier::kLan) ||
-      tier > static_cast<int>(net::AccessTier::kCloud)) {
-    return net::AccessTier::kCable;
-  }
-  return static_cast<net::AccessTier>(tier);
-}
-
-// Symbolic endpoint -> host. nullopt for dangling indices (a hand-edited
-// spec may reference entities the shrinker dropped): the window is skipped.
-std::optional<HostId> resolve_endpoint(harness::Scenario& scenario,
-                                       const FuzzEndpoint& ep) {
-  switch (ep.kind) {
-    case EndpointKind::kManager:
-      return HostId{0};  // the scenario allocates host 0 to the manager
-    case EndpointKind::kNode:
-      if (ep.index < 0 ||
-          static_cast<std::size_t>(ep.index) >= scenario.node_count()) {
-        return std::nullopt;
-      }
-      return scenario.node_id(static_cast<std::size_t>(ep.index));
-    case EndpointKind::kClient:
-      if (ep.index < 0 ||
-          static_cast<std::size_t>(ep.index) >= scenario.edge_client_count()) {
-        return std::nullopt;
-      }
-      return scenario.edge_client(static_cast<std::size_t>(ep.index)).id();
-  }
-  return std::nullopt;
-}
-
-}  // namespace
+// ---- runner ----------------------------------------------------------
 
 RunReport run_spec(const ScenarioSpec& spec, const RunOptions& options) {
-  // The injector must outlive every fabric lookup, so it is declared
-  // before the scenario that holds the fabric.
-  net::FaultInjector injector;
-
-  harness::ScenarioConfig config;
-  config.seed = spec.seed;
-  config.heartbeat_ttl = sec(spec.heartbeat_ttl_sec);
-  config.trace = true;
-  config.load_feedback = spec.load_feedback;
+  harness::ScenarioConfig config = spec_config(spec);
   config.standby.enabled = spec.standby;
   config.standby.standby_options.chaos_drop_last_batch =
       (spec.chaos & kChaosDropLastBatchOnReplay) != 0;
-  const auto kind = spec.net_kind == static_cast<int>(SpecNetKind::kMatrix)
-                        ? harness::NetKind::kMatrix
-                        : harness::NetKind::kGeo;
-  harness::Scenario scenario(config, kind, spec.default_rtt_ms,
+  harness::Scenario scenario(config, spec_net_kind(spec), spec.default_rtt_ms,
                              spec.default_bw_mbps, spec.jitter_sigma);
-  scenario.fabric().set_fault_injector(&injector);
-  scenario.set_crash_fault_injector(&injector);
-
-  const SimTime horizon = sec(spec.horizon_sec);
-  // Enforce the quiet-tail contract for any spec, not just generated ones.
-  const double quiet_start =
-      std::max(0.0, spec.horizon_sec - std::max(0.0, spec.cooldown_sec));
-  // The crash the harness will inject (clamps shared with the oracles).
-  const std::optional<EffectiveCrash> crash = effective_crash(spec);
-
-  // ---- nodes ----
-  for (std::size_t i = 0; i < spec.nodes.size(); ++i) {
-    const FuzzNode& fn = spec.nodes[i];
-    harness::NodeSpec ns;
-    ns.name = format_runner("fuzz-node-%zu", i);
-    ns.position = geo::GeoPoint{fn.lat, fn.lon};
-    ns.tier = clamp_tier(fn.tier);
-    ns.cores = std::max(1, fn.cores);
-    ns.base_frame_ms = fn.base_frame_ms;
-    ns.dedicated = fn.dedicated;
-    ns.is_cloud = fn.is_cloud;
-    ns.extra_rtt_ms = fn.extra_rtt_ms;
-    ns.heartbeat_period = sec(std::max(0.1, fn.heartbeat_period_sec));
-    ns.user_idle_ttl = sec(std::max(1.0, spec.user_idle_ttl_sec));
-    ns.chaos_freeze_seq_num = (spec.chaos & kChaosFreezeSeqNum) != 0;
-    ns.background_load = std::clamp(fn.background_load, 0.0, 0.95);
-    ns.burstable = fn.burstable;
-    ns.burst_baseline = std::clamp(fn.burst_baseline, 0.05, 1.0);
-    ns.initial_credits_core_sec = std::max(0.0, fn.initial_credits_core_sec);
-    const std::size_t index = scenario.add_node(ns);
-
-    // Slow-leak ramp: step the background load linearly toward bg_ramp_to
-    // over the ramp window, clear of the cooldown tail.
-    if (fn.bg_ramp_to >= 0.0) {
-      const double ramp_to = std::clamp(fn.bg_ramp_to, 0.0, 0.95);
-      const double ramp_from = ns.background_load;
-      const double r0 = std::max(0.0, fn.bg_ramp_start_sec);
-      const double r1 = std::min(fn.bg_ramp_end_sec, quiet_start);
-      if (r1 > r0) {
-        constexpr int kRampSteps = 8;
-        for (int step = 1; step <= kRampSteps; ++step) {
-          const double frac = static_cast<double>(step) / kRampSteps;
-          const double at = r0 + (r1 - r0) * frac;
-          const double load = ramp_from + (ramp_to - ramp_from) * frac;
-          scenario.scheduler().schedule_after(
-              sec(at), [&scenario, index, load] {
-                scenario.node(index).set_background_load(load);
-              });
-        }
-      }
-    }
-
-    const double start = std::max(0.0, fn.start_sec);
-    double stop = fn.stop_sec;
-    if (stop >= 0.0) stop = std::min(stop, quiet_start);
-    if (stop >= 0.0 && stop <= start) continue;  // clamped into nothing
-    if (start <= 0.0) {
-      scenario.start_node(index);
-    } else {
-      scenario.schedule_node_start(index, sec(start));
-    }
-    if (stop >= 0.0) {
-      scenario.schedule_node_stop(index, sec(stop), fn.graceful_stop);
-    }
-  }
-
-  // ---- clients ----
-  for (std::size_t i = 0; i < spec.clients.size(); ++i) {
-    const FuzzClient& fc = spec.clients[i];
-    harness::ClientSpot spot;
-    spot.name = format_runner("fuzz-client-%zu", i);
-    spot.position = geo::GeoPoint{fc.lat, fc.lon};
-    spot.tier = clamp_tier(fc.tier);
-    client::ClientConfig cc;
-    cc.top_n = std::max(1, fc.top_n);
-    cc.probing_period = sec(std::max(0.5, fc.probing_period_sec));
-    cc.proactive_connections = fc.proactive;
-    cc.switch_margin = fc.switch_margin;
-    cc.app.max_fps = std::max(1.0, fc.max_fps);
-    cc.send_frames = fc.send_frames;
-    client::EdgeClient& cl = scenario.add_edge_client(spot, std::move(cc));
-    if (fc.start_sec <= 0.0) {
-      cl.start();
-    } else {
-      scenario.scheduler().schedule_after(sec(fc.start_sec),
-                                          [&cl] { cl.start(); });
-    }
-    // Diurnal-wave departure: a full client stop (detach + stream end),
-    // clamped clear of the cooldown tail. Idempotent against the teardown
-    // stop at the horizon.
-    if (fc.stop_sec >= 0.0) {
-      const double stop = std::min(fc.stop_sec, quiet_start);
-      if (stop > std::max(0.0, fc.start_sec)) {
-        scenario.scheduler().schedule_after(sec(stop), [&cl] { cl.stop(); });
-      }
-    }
-  }
-
-  // ---- fault windows ----
-  for (const FuzzFault& ff : spec.faults) {
-    const auto a = resolve_endpoint(scenario, ff.a);
-    if (!a) continue;
-    const double from = std::max(0.0, ff.from_sec);
-    double until = std::min(ff.until_sec, quiet_start);
-    // With a crash scheduled, every fault window closes before the crash:
-    // the failover must be attributable to the injected crash alone, and
-    // the readmission oracle's post-takeover bound assumes a clean network.
-    if (crash) until = std::min(until, crash->at_sec);
-    if (until <= from) continue;
-    if (ff.kind == FaultKind::kIsolate) {
-      injector.isolate_host(*a, sec(from), sec(until));
-      continue;
-    }
-    const auto b = resolve_endpoint(scenario, ff.b);
-    if (!b || *b == *a) continue;
-    switch (ff.kind) {
-      case FaultKind::kCut:
-        injector.cut_link(*a, *b, sec(from), sec(until));
-        break;
-      case FaultKind::kPartition:
-        injector.partition(*a, *b, sec(from), sec(until));
-        break;
-      case FaultKind::kSlow:
-        injector.slow_link(*a, *b, std::max(1.0, ff.factor), sec(from),
-                           sec(until));
-        break;
-      case FaultKind::kIsolate:
-        break;  // handled above
-    }
-  }
-
-  // ---- manager crash + takeover ----
-  if (crash) {
+  build_spec_world(spec, scenario);
+  if (const std::optional<EffectiveCrash> crash = effective_crash(spec)) {
     scenario.schedule_manager_crash(
         sec(crash->at_sec), static_cast<journal::CrashPoint>(crash->point),
         sec(crash->takeover_delay_sec));
   }
 
-  // ---- run to the horizon, snapshot, tear down, drain ----
+  const SimTime horizon = sec(spec.horizon_sec);
   scenario.run_until(horizon);
-
-  EndState end;
-  for (std::size_t i = 0; i < scenario.node_count(); ++i) {
-    node::EdgeNode& n = scenario.node(i);
-    end.nodes.push_back({n.id(), n.running(), n.attached_ids(),
-                         n.executor().utilization(), n.executor().queued(),
-                         n.executor().throttled(),
-                         scenario.active_manager().overloaded(n.id())});
-  }
-  for (std::size_t i = 0; i < scenario.edge_client_count(); ++i) {
-    client::EdgeClient& c = scenario.edge_client(i);
-    end.clients.push_back({c.id(), c.current_node(), c.stats()});
-  }
-  // After a takeover the standby owns the registry; without one
-  // active_manager() is the primary, so non-standby runs are unchanged.
-  scenario.active_manager().registry().for_each_live(
-      "", horizon,
-      [&end](const manager::RegistryEntry& entry,
-             const std::optional<geo::GeoPoint>&) {
-        end.registry_live.push_back(entry.status.node);
-      });
-  std::sort(end.registry_live.begin(), end.registry_live.end(),
-            [](NodeId a, NodeId b) { return a.value < b.value; });
-  for (const auto& c : end.clients) {
-    for (const auto& n : end.nodes) {
-      end.base_rtt.push_back(
-          {c.id, n.id,
-           to_ms(scenario.network_model().base_rtt(c.id, n.id))});
-    }
-  }
 
   RunReport report;
   // Replay-determinism witness: at the takeover instant the standby's
@@ -558,31 +335,13 @@ RunReport run_spec(const ScenarioSpec& spec, const RunOptions& options) {
          "standby replay dump diverges from a fresh replay of the journal",
          horizon});
   }
-  // Vacuity gate: a spec that promises frames but moved none (or that has
-  // no clients at all) is a harness bug masquerading as a green run.
-  if (spec.clients.empty() || expects_frames(spec)) {
-    try {
-      scenario.require_nonvacuous_run();
-    } catch (const std::runtime_error& err) {
-      report.violations.push_back({"vacuous-run", err.what(), horizon});
-    }
-  }
+  observe_spec_world(spec, scenario, report);
 
-  // Oracles see only the pre-teardown prefix: stats snapshots above and
-  // the trace stay in exact correspondence (both record precisely what
+  // Oracles see only the pre-teardown prefix: the snapshot above and the
+  // trace stay in exact correspondence (both record precisely what
   // executed by the horizon), while teardown noise — drained joins hitting
   // stopped nodes, deregisters at the horizon — is excluded.
   const std::size_t prefix = scenario.trace_recorder()->events().size();
-
-  for (auto& c : end.clients) {
-    report.frames_sent += c.stats.frames_sent;
-    report.frames_ok += c.stats.frames_ok;
-    report.frames_failed += c.stats.frames_failed;
-    report.joins += c.stats.joins;
-    report.switches += c.stats.switches;
-    report.failovers += c.stats.failovers;
-    report.hard_failures += c.stats.hard_failures;
-  }
 
   // The warm-tail timer self-reschedules; stop it or run_all never drains.
   scenario.stop_standby_tail();
@@ -600,13 +359,7 @@ RunReport run_spec(const ScenarioSpec& spec, const RunOptions& options) {
                                                   all.begin() + prefix);
   report.trace_events = all.size();
   report.trace_digest = fnv1a64(scenario.trace_recorder()->to_jsonl());
-
-  RunView view{spec, pre_teardown, end, config.timeouts, horizon};
-  const auto& oracles =
-      options.oracles != nullptr ? *options.oracles : default_oracles();
-  for (const Oracle* oracle : oracles) {
-    oracle->check(view, report.violations);
-  }
+  check_oracles(spec, pre_teardown, config.timeouts, options.oracles, report);
   return report;
 }
 

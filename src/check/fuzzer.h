@@ -2,9 +2,10 @@
 // oracle verdicts. generate_spec() draws topology, churn, fault windows,
 // jitter regime and client workload from a single forked Rng stream, so a
 // seed is a complete description of a run. run_spec() materializes the
-// spec through harness::Scenario, executes it to the horizon, snapshots
-// the end state, and evaluates the invariant oracle catalog over the
-// pre-teardown trace prefix.
+// spec through harness::Scenario with the shared spec recipe
+// (check/recipe.h), executes it to the horizon, snapshots the end state,
+// and evaluates the invariant oracle catalog over the pre-teardown trace
+// prefix.
 //
 // The generator keeps every sampled scenario inside the envelope the
 // oracles are sound for: a quiet cooldown tail (no churn or fault window
@@ -51,12 +52,12 @@ struct RunOptions {
   const std::vector<const Oracle*>* oracles{nullptr};
 };
 
-struct RunReport {
+// What a spec run reports on either harness (check/recipe.h): oracle
+// verdicts, the end-of-run snapshot and the client counters summed over
+// the fleet.
+struct SpecOutcome {
   std::vector<Violation> violations;
-  // FNV-1a over the full trace JSONL (teardown included) — the bitwise
-  // determinism witness: same spec => same digest, on any thread count.
-  std::uint64_t trace_digest{0};
-  std::size_t trace_events{0};
+  EndState end;
   std::uint64_t frames_sent{0};
   std::uint64_t frames_ok{0};
   std::uint64_t frames_failed{0};
@@ -65,6 +66,13 @@ struct RunReport {
   std::uint64_t failovers{0};
   std::uint64_t hard_failures{0};
   [[nodiscard]] bool ok() const { return violations.empty(); }
+};
+
+struct RunReport : SpecOutcome {
+  // FNV-1a over the full trace JSONL (teardown included) — the bitwise
+  // determinism witness: same spec => same digest, on any thread count.
+  std::uint64_t trace_digest{0};
+  std::size_t trace_events{0};
 };
 
 [[nodiscard]] RunReport run_spec(const ScenarioSpec& spec,

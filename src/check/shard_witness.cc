@@ -1,81 +1,24 @@
 #include "check/shard_witness.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <optional>
 #include <stdexcept>
-#include <string>
 #include <utility>
 
-#include "geo/geopoint.h"
-#include "manager/registry.h"
-#include "net/network_model.h"
+#include "check/recipe.h"
 #include "obs/trace_merge.h"
 
 namespace eden::check {
 
-namespace {
-
-std::string format_witness(const char* fmt, std::size_t index) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), fmt, index);
-  return std::string(buf);
-}
-
-net::AccessTier clamp_tier(int tier) {
-  if (tier < static_cast<int>(net::AccessTier::kLan) ||
-      tier > static_cast<int>(net::AccessTier::kCloud)) {
-    return net::AccessTier::kCable;
-  }
-  return static_cast<net::AccessTier>(tier);
-}
-
-// Same symbolic-endpoint resolution as check::run_spec: manager is always
-// host 0 (both harnesses allocate it first), dangling indices skip the
-// fault window.
-std::optional<HostId> resolve_endpoint(harness::ShardedScenario& scenario,
-                                       const FuzzEndpoint& ep) {
-  switch (ep.kind) {
-    case EndpointKind::kManager:
-      return HostId{0};
-    case EndpointKind::kNode:
-      if (ep.index < 0 ||
-          static_cast<std::size_t>(ep.index) >= scenario.node_count()) {
-        return std::nullopt;
-      }
-      return scenario.node_id(static_cast<std::size_t>(ep.index));
-    case EndpointKind::kClient:
-      if (ep.index < 0 ||
-          static_cast<std::size_t>(ep.index) >= scenario.edge_client_count()) {
-        return std::nullopt;
-      }
-      return scenario.edge_client(static_cast<std::size_t>(ep.index)).id();
-  }
-  return std::nullopt;
-}
-
-}  // namespace
-
-// Mirrors check::run_spec()'s build recipe line for line — same NodeSpec
-// clamps, same ramp discretization, same fault-window clamping to the
-// quiet tail — but materialized through ShardedScenario, with build-time
-// callbacks routed to each entity's own domain via schedule_at_node /
-// schedule_at_client. Any drift between the two recipes shows up as a
-// digest mismatch in the witness tests, not as a silent behavior change.
 ShardRunReport run_spec_sharded(const ScenarioSpec& spec, unsigned shards,
                                 const ShardRunOptions& options) {
   if (spec.standby) {
     // Failover specs re-route the fleet to the standby mid-run; the
-    // sharded runner's fixed manager wiring cannot express that, and the
-    // crash isolation also perturbs the fabric RNG stream.
+    // sharded runner's fixed manager wiring cannot express that.
     throw std::invalid_argument(
         "run_spec_sharded does not support standby/failover specs");
   }
   harness::ShardedConfig config;
-  config.base.seed = spec.seed;
-  config.base.heartbeat_ttl = sec(spec.heartbeat_ttl_sec);
-  config.base.trace = true;
-  config.base.load_feedback = spec.load_feedback;
+  config.base = spec_config(spec);
   config.shards = std::max(1u, shards);
   // shards == 0 is the windowless sequential reference; any explicit shard
   // count exercises the window/barrier machinery even when the partition
@@ -83,179 +26,14 @@ ShardRunReport run_spec_sharded(const ScenarioSpec& spec, unsigned shards,
   config.force_windows = shards != 0;
   config.threads = options.threads;
   config.window = options.window;
-
-  const auto kind = spec.net_kind == static_cast<int>(SpecNetKind::kMatrix)
-                        ? harness::NetKind::kMatrix
-                        : harness::NetKind::kGeo;
-  harness::ShardedScenario scenario(config, kind, spec.default_rtt_ms,
-                                    spec.default_bw_mbps, spec.jitter_sigma);
-
-  const SimTime horizon = sec(spec.horizon_sec);
-  const double quiet_start =
-      std::max(0.0, spec.horizon_sec - std::max(0.0, spec.cooldown_sec));
-
-  // ---- nodes ----
-  for (std::size_t i = 0; i < spec.nodes.size(); ++i) {
-    const FuzzNode& fn = spec.nodes[i];
-    harness::NodeSpec ns;
-    ns.name = format_witness("fuzz-node-%zu", i);
-    ns.position = geo::GeoPoint{fn.lat, fn.lon};
-    ns.tier = clamp_tier(fn.tier);
-    ns.cores = std::max(1, fn.cores);
-    ns.base_frame_ms = fn.base_frame_ms;
-    ns.dedicated = fn.dedicated;
-    ns.is_cloud = fn.is_cloud;
-    ns.extra_rtt_ms = fn.extra_rtt_ms;
-    ns.heartbeat_period = sec(std::max(0.1, fn.heartbeat_period_sec));
-    ns.user_idle_ttl = sec(std::max(1.0, spec.user_idle_ttl_sec));
-    ns.chaos_freeze_seq_num = (spec.chaos & kChaosFreezeSeqNum) != 0;
-    ns.background_load = std::clamp(fn.background_load, 0.0, 0.95);
-    ns.burstable = fn.burstable;
-    ns.burst_baseline = std::clamp(fn.burst_baseline, 0.05, 1.0);
-    ns.initial_credits_core_sec = std::max(0.0, fn.initial_credits_core_sec);
-    const std::size_t index = scenario.add_node(ns);
-
-    if (fn.bg_ramp_to >= 0.0) {
-      const double ramp_to = std::clamp(fn.bg_ramp_to, 0.0, 0.95);
-      const double ramp_from = ns.background_load;
-      const double r0 = std::max(0.0, fn.bg_ramp_start_sec);
-      const double r1 = std::min(fn.bg_ramp_end_sec, quiet_start);
-      if (r1 > r0) {
-        constexpr int kRampSteps = 8;
-        for (int step = 1; step <= kRampSteps; ++step) {
-          const double frac = static_cast<double>(step) / kRampSteps;
-          const double at = r0 + (r1 - r0) * frac;
-          const double load = ramp_from + (ramp_to - ramp_from) * frac;
-          scenario.schedule_at_node(index, sec(at),
-                                    [load](node::EdgeNode& node) {
-                                      node.set_background_load(load);
-                                    });
-        }
-      }
-    }
-
-    const double start = std::max(0.0, fn.start_sec);
-    double stop = fn.stop_sec;
-    if (stop >= 0.0) stop = std::min(stop, quiet_start);
-    if (stop >= 0.0 && stop <= start) continue;  // clamped into nothing
-    if (start <= 0.0) {
-      scenario.start_node(index);
-    } else {
-      scenario.schedule_node_start(index, sec(start));
-    }
-    if (stop >= 0.0) {
-      scenario.schedule_node_stop(index, sec(stop), fn.graceful_stop);
-    }
-  }
-
-  // ---- clients ----
-  for (std::size_t i = 0; i < spec.clients.size(); ++i) {
-    const FuzzClient& fc = spec.clients[i];
-    harness::ClientSpot spot;
-    spot.name = format_witness("fuzz-client-%zu", i);
-    spot.position = geo::GeoPoint{fc.lat, fc.lon};
-    spot.tier = clamp_tier(fc.tier);
-    client::ClientConfig cc;
-    cc.top_n = std::max(1, fc.top_n);
-    cc.probing_period = sec(std::max(0.5, fc.probing_period_sec));
-    cc.proactive_connections = fc.proactive;
-    cc.switch_margin = fc.switch_margin;
-    cc.app.max_fps = std::max(1.0, fc.max_fps);
-    cc.send_frames = fc.send_frames;
-    const std::size_t index = scenario.add_edge_client(spot, std::move(cc));
-    if (fc.start_sec <= 0.0) {
-      scenario.edge_client(index).start();
-    } else {
-      scenario.schedule_at_client(index, sec(fc.start_sec),
-                                  [](client::EdgeClient& cl) { cl.start(); });
-    }
-    if (fc.stop_sec >= 0.0) {
-      const double stop = std::min(fc.stop_sec, quiet_start);
-      if (stop > std::max(0.0, fc.start_sec)) {
-        scenario.schedule_at_client(index, sec(stop),
-                                    [](client::EdgeClient& cl) { cl.stop(); });
-      }
-    }
-  }
-
-  // ---- fault windows (fanned out to every domain's injector) ----
-  for (const FuzzFault& ff : spec.faults) {
-    const auto a = resolve_endpoint(scenario, ff.a);
-    if (!a) continue;
-    const double from = std::max(0.0, ff.from_sec);
-    const double until = std::min(ff.until_sec, quiet_start);
-    if (until <= from) continue;
-    if (ff.kind == FaultKind::kIsolate) {
-      scenario.isolate_host(*a, sec(from), sec(until));
-      continue;
-    }
-    const auto b = resolve_endpoint(scenario, ff.b);
-    if (!b || *b == *a) continue;
-    switch (ff.kind) {
-      case FaultKind::kCut:
-        scenario.cut_link(*a, *b, sec(from), sec(until));
-        break;
-      case FaultKind::kPartition:
-        scenario.partition(*a, *b, sec(from), sec(until));
-        break;
-      case FaultKind::kSlow:
-        scenario.slow_link(*a, *b, std::max(1.0, ff.factor), sec(from),
-                           sec(until));
-        break;
-      case FaultKind::kIsolate:
-        break;  // handled above
-    }
-  }
-
-  // ---- run to the horizon, snapshot ----
-  scenario.run_until(horizon);
-
-  EndState end;
-  for (std::size_t i = 0; i < scenario.node_count(); ++i) {
-    node::EdgeNode& n = scenario.node(i);
-    end.nodes.push_back({n.id(), n.running(), n.attached_ids(),
-                         n.executor().utilization(), n.executor().queued(),
-                         n.executor().throttled(),
-                         scenario.central_manager().overloaded(n.id())});
-  }
-  for (std::size_t i = 0; i < scenario.edge_client_count(); ++i) {
-    client::EdgeClient& c = scenario.edge_client(i);
-    end.clients.push_back({c.id(), c.current_node(), c.stats()});
-  }
-  scenario.central_manager().registry().for_each_live(
-      "", horizon,
-      [&end](const manager::RegistryEntry& entry,
-             const std::optional<geo::GeoPoint>&) {
-        end.registry_live.push_back(entry.status.node);
-      });
-  std::sort(end.registry_live.begin(), end.registry_live.end(),
-            [](NodeId a, NodeId b) { return a.value < b.value; });
-  for (const auto& c : end.clients) {
-    for (const auto& n : end.nodes) {
-      end.base_rtt.push_back(
-          {c.id, n.id,
-           to_ms(scenario.network_model().base_rtt(c.id, n.id))});
-    }
-  }
+  harness::ShardedScenario scenario(config, spec_net_kind(spec),
+                                    spec.default_rtt_ms, spec.default_bw_mbps,
+                                    spec.jitter_sigma);
+  build_spec_world(spec, scenario);
+  scenario.run_until(sec(spec.horizon_sec));
 
   ShardRunReport report;
-  if (spec.clients.empty() || expects_frames(spec)) {
-    try {
-      scenario.require_nonvacuous_run();
-    } catch (const std::runtime_error& err) {
-      report.violations.push_back({"vacuous-run", err.what(), horizon});
-    }
-  }
-
-  for (auto& c : end.clients) {
-    report.frames_sent += c.stats.frames_sent;
-    report.frames_ok += c.stats.frames_ok;
-    report.frames_failed += c.stats.frames_failed;
-    report.joins += c.stats.joins;
-    report.switches += c.stats.switches;
-    report.failovers += c.stats.failovers;
-    report.hard_failures += c.stats.hard_failures;
-  }
+  observe_spec_world(spec, scenario, report);
 
   // The witness artifact: the pre-teardown trace, canonicalized. Causally
   // related events are always >= 1 tick apart (every message has a positive
@@ -269,13 +47,8 @@ ShardRunReport run_spec_sharded(const ScenarioSpec& spec, unsigned shards,
   report.trace_digest = fnv1a64(jsonl);
   if (options.keep_trace) report.trace_jsonl = std::move(jsonl);
   report.shards = scenario.shard_stats();
-
-  RunView view{spec, canonical, end, config.base.timeouts, horizon};
-  const auto& oracles =
-      options.oracles != nullptr ? *options.oracles : default_oracles();
-  for (const Oracle* oracle : oracles) {
-    oracle->check(view, report.violations);
-  }
+  check_oracles(spec, canonical, config.base.timeouts, options.oracles,
+                report);
   return report;
 }
 

@@ -14,7 +14,10 @@
 //                  any cross-shard traffic)
 //   shards >= 2  → geohash-partitioned domains, conservative lookahead
 //
-// Note the witness digest deliberately differs from check::run_spec()'s:
+// The world is built by the same spec recipe as check::run_spec()
+// (check/recipe.h); standby/crash specs are rejected, since the sharded
+// harness has no standby. The witness digest deliberately differs from
+// check::run_spec()'s:
 // run_spec digests the raw recording order of a single simulator
 // (teardown included), which is well-defined only for the sequential
 // harness. The witness digests the canonical merge of the pre-teardown
@@ -26,16 +29,13 @@
 #include <vector>
 
 #include "check/fuzzer.h"
-#include "check/oracle.h"
 #include "check/spec.h"
 #include "common/types.h"
 #include "harness/sharded_scenario.h"
 
 namespace eden::check {
 
-struct ShardRunOptions {
-  // Oracle set to evaluate; null = default_oracles().
-  const std::vector<const Oracle*>* oracles{nullptr};
+struct ShardRunOptions : RunOptions {
   // WindowPool threads for the per-window domain fan-out (0 = hardware).
   unsigned threads{1};
   // Fixed window override; 0 derives windows from the lookahead bound.
@@ -44,23 +44,14 @@ struct ShardRunOptions {
   bool keep_trace{false};
 };
 
-struct ShardRunReport {
-  std::vector<Violation> violations;
+struct ShardRunReport : SpecOutcome {
   // FNV-1a over the canonical (time, site)-merged pre-teardown trace
   // JSONL. Identical for every shard count, every thread count and every
   // window length — the sharded == sequential determinism witness.
   std::uint64_t trace_digest{0};
   std::size_t trace_events{0};
   std::string trace_jsonl;  // only when ShardRunOptions::keep_trace
-  std::uint64_t frames_sent{0};
-  std::uint64_t frames_ok{0};
-  std::uint64_t frames_failed{0};
-  std::uint64_t joins{0};
-  std::uint64_t switches{0};
-  std::uint64_t failovers{0};
-  std::uint64_t hard_failures{0};
   harness::ShardStats shards;
-  [[nodiscard]] bool ok() const { return violations.empty(); }
 };
 
 [[nodiscard]] ShardRunReport run_spec_sharded(

@@ -128,10 +128,7 @@ void Scenario::crash_primary(journal::CrashPoint point) {
   // Killing the host drops arrivals; the isolate window also drops the
   // dead primary's own in-flight sends (e.g. the heartbeat ack a crashing
   // commit would otherwise still emit) at send time.
-  if (crash_faults_ != nullptr) {
-    crash_faults_->isolate_host(manager_host_, now,
-                                std::numeric_limits<SimTime>::max());
-  }
+  isolate_host(manager_host_, now, std::numeric_limits<SimTime>::max());
   if (trace_recorder_) {
     trace_recorder_->record({now, obs::EventKind::kManagerCrash, manager_host_,
                              {}, 0, static_cast<double>(static_cast<int>(point))});
@@ -199,6 +196,28 @@ void Scenario::set_route(NodeId id, bool routed) {
   } else {
     unrouted_.insert(id);
   }
+}
+
+net::FaultInjector& Scenario::faults() {
+  fabric_->set_fault_injector(&faults_);
+  return faults_;
+}
+
+void Scenario::cut_link(HostId a, HostId b, SimTime from, SimTime until) {
+  faults().cut_link(a, b, from, until);
+}
+
+void Scenario::partition(HostId a, HostId b, SimTime from, SimTime until) {
+  faults().partition(a, b, from, until);
+}
+
+void Scenario::slow_link(HostId a, HostId b, double factor, SimTime from,
+                         SimTime until) {
+  faults().slow_link(a, b, factor, from, until);
+}
+
+void Scenario::isolate_host(HostId host, SimTime from, SimTime until) {
+  faults().isolate_host(host, from, until);
 }
 
 HostId Scenario::allocate_host() { return HostId{next_host_++}; }
@@ -318,6 +337,12 @@ void Scenario::schedule_node_stop(std::size_t index, SimTime at, bool graceful) 
   });
 }
 
+void Scenario::schedule_at_node(std::size_t index, SimTime at,
+                                std::function<void(node::EdgeNode&)> fn) {
+  simulator_.schedule_at(
+      at, [this, index, fn = std::move(fn)] { fn(node(index)); });
+}
+
 client::NodeResolver Scenario::resolver() {
   return [this](NodeId id) -> net::NodeApi* { return node_api(id); };
 }
@@ -339,6 +364,12 @@ client::EdgeClient& Scenario::add_edge_client(const ClientSpot& spot,
     client.set_observability(trace_recorder_.get(), metrics_registry_.get());
   }
   return client;
+}
+
+void Scenario::schedule_at_client(std::size_t index, SimTime at,
+                                  std::function<void(client::EdgeClient&)> fn) {
+  simulator_.schedule_at(
+      at, [this, index, fn = std::move(fn)] { fn(edge_client(index)); });
 }
 
 std::size_t Scenario::add_edge_clients(const ClientSpotFn& spot_fn,

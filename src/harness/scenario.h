@@ -11,6 +11,10 @@
 // and bulk builders (add_nodes / add_edge_clients) construct whole fleets
 // without per-entity call overhead. fleet_stats() aggregates across the
 // fleet without copying per-client sample vectors around.
+//
+// The construction API (add_node / add_edge_client, schedule_at_node /
+// schedule_at_client, the owned fault windows) matches ShardedScenario's,
+// so one spec recipe (check/recipe.h) builds a world on either harness.
 #pragma once
 
 #include <deque>
@@ -139,6 +143,9 @@ class Scenario {
   void stop_node(std::size_t index, bool graceful);
   void schedule_node_start(std::size_t index, SimTime at);
   void schedule_node_stop(std::size_t index, SimTime at, bool graceful);
+  // Run `fn(node)` at time `at` (same surface as ShardedScenario).
+  void schedule_at_node(std::size_t index, SimTime at,
+                        std::function<void(node::EdgeNode&)> fn);
 
   // ---- clients ----
   client::EdgeClient& add_edge_client(const ClientSpot& spot,
@@ -165,6 +172,18 @@ class Scenario {
     return static_clients_.size();
   }
   [[nodiscard]] HostId client_host(const ClientId& id) const { return id; }
+  // Run `fn(client)` at time `at` (same surface as ShardedScenario).
+  void schedule_at_client(std::size_t index, SimTime at,
+                          std::function<void(client::EdgeClient&)> fn);
+
+  // ---- faults (net::FaultInjector semantics) ----
+  // The scenario owns the injector and attaches it to the fabric with the
+  // first window, so fault-free runs pay nothing per send.
+  void cut_link(HostId a, HostId b, SimTime from, SimTime until);
+  void partition(HostId a, HostId b, SimTime from, SimTime until);
+  void slow_link(HostId a, HostId b, double factor, SimTime from,
+                 SimTime until);
+  void isolate_host(HostId host, SimTime from, SimTime until);
 
   [[nodiscard]] client::NodeResolver resolver();
 
@@ -217,16 +236,11 @@ class Scenario {
   // points, then hand the registry to the standby `takeover_delay` later.
   // kBeforeAck/kMidBatch/kTornTail arm the journal and fire inside the
   // next group commit (with a 1 s flush-and-die fallback when the registry
-  // is idle); kAfterAppend force-flushes and kills immediately. Requires
-  // StandbyConfig::enabled.
+  // is idle); kAfterAppend force-flushes and kills immediately. The dead
+  // primary is isolated from the crash instant on, so it emits nothing.
+  // Requires StandbyConfig::enabled.
   void schedule_manager_crash(SimTime at, journal::CrashPoint point,
                               SimDuration takeover_delay);
-  // Mutable fault injector used to silence the dead primary's in-flight
-  // sends (the fabric's own injector pointer is const). Must be the same
-  // injector attached to the fabric, and must outlive the scenario.
-  void set_crash_fault_injector(net::FaultInjector* injector) {
-    crash_faults_ = injector;
-  }
   // Ends the warm-tail timer loop; call before draining the simulator to
   // completion (run_all) in a standby scenario that never crashes.
   void stop_standby_tail() { standby_tail_active_ = false; }
@@ -255,6 +269,8 @@ class Scenario {
   void on_crash_trigger(journal::CrashPoint point);
   void crash_primary(journal::CrashPoint point);
   void do_takeover();
+  // The owned injector, attached to the fabric on first use.
+  net::FaultInjector& faults();
   HostId allocate_host();
   void register_position(HostId host, const geo::GeoPoint& position,
                          net::AccessTier tier, double extra_rtt_ms = 0.0,
@@ -268,6 +284,8 @@ class Scenario {
   std::unique_ptr<net::NetworkModel> model_;
   net::HostTable hosts_;
   Rng rng_;
+  // Declared before fabric_ so it outlives every fabric lookup.
+  net::FaultInjector faults_;
   std::unique_ptr<net::SimNetwork> fabric_;
   HostId manager_host_;
   std::unique_ptr<manager::CentralManager> manager_;
@@ -285,7 +303,6 @@ class Scenario {
   std::unique_ptr<manager::CentralManager> standby_manager_;
   std::unique_ptr<journal::StandbyManager> standby_;
   HostId standby_host_;
-  net::FaultInjector* crash_faults_{nullptr};
   SimDuration takeover_delay_{msec(500.0)};
   bool standby_tail_active_{false};
   bool crashed_{false};

@@ -35,30 +35,40 @@ bool Simulator::cancel(EventId id) {
   return true;
 }
 
-void Simulator::rebuild(std::uint64_t new_last_min) {
-  std::vector<Entry> all;
-  all.reserve(live_count_);
-  auto collect = [&](std::vector<Entry>& bucket, std::size_t begin) {
-    for (std::size_t i = begin; i < bucket.size(); ++i) {
-      if (stale(bucket[i])) {
-        --dead_in_queue_;
-      } else {
-        all.push_back(bucket[i]);
-      }
-    }
-    bucket.clear();
-  };
-  collect(bucket0_, bucket0_cursor_);
-  for (auto& bucket : level_buckets_) {
-    if (!bucket.empty()) collect(bucket, 0);
-  }
+void Simulator::lower_min(std::uint64_t t) {
+  // Every queued time is >= last_min_ > t. Let H be the highest digit where
+  // t and last_min_ differ. Buckets at level >= H stay put: their entries
+  // agree with both times above their level and differ from both at it.
+  // Bucket 0 and every bucket below H share last_min_'s digit H, so around
+  // t they all belong to bucket (H, that digit) — empty until now, since
+  // level-H entries differ from last_min_ at digit H. Stable appends keep
+  // equal times (always co-located in one source bucket) in FIFO order;
+  // tombstones move along and stay counted.
+  const int high = (63 - std::countl_zero(t ^ last_min_)) / kDigitBits;
+  const auto digit = static_cast<int>((last_min_ >> (high * kDigitBits)) &
+                                      (kDigits - 1));
+  std::vector<Entry>& target = level_buckets_[high * kDigits + digit];
+  target.insert(target.end(), bucket0_.begin() + bucket0_cursor_,
+                bucket0_.end());
+  bucket0_.clear();
   bucket0_cursor_ = 0;
-  level_mask_ = 0;
-  digit_mask_.fill(0);
-  last_min_ = new_last_min;
-  // Equal times were co-located in one source bucket, so this per-bucket
-  // collection order keeps FIFO ties intact.
-  for (const Entry& e : all) push_entry(e.time, e.seq_slot);
+  for (int level = 0; level < high; ++level) {
+    for (std::uint64_t dm = digit_mask_[level]; dm != 0; dm &= dm - 1) {
+      std::vector<Entry>& bucket =
+          level_buckets_[level * kDigits + std::countr_zero(dm)];
+      target.insert(target.end(), bucket.begin(), bucket.end());
+      // Free, don't just clear: sharded runs lower thousands of times, and
+      // every emptied bucket would keep its peak capacity (peak RSS).
+      std::vector<Entry>().swap(bucket);
+    }
+    digit_mask_[level] = 0;
+  }
+  level_mask_ &= ~((1u << high) - 1);
+  if (!target.empty()) {
+    digit_mask_[high] |= 1ull << digit;
+    level_mask_ |= 1u << high;
+  }
+  last_min_ = t;
 }
 
 void Simulator::sweep() {
@@ -183,7 +193,6 @@ void Simulator::schedule_delivery(SimTime t, DeliveryKey key, Callback cb) {
   s.generation = static_cast<std::uint32_t>(next_seq_++ & kSeqMask);
   s.cb = std::move(cb);
   ++live_count_;
-  delivery_mode_ = true;
   deliveries_.push_back(
       DeliveryEntry{static_cast<std::uint64_t>(t), key.hi, key.lo, index});
   std::push_heap(deliveries_.begin(), deliveries_.end(), DeliveryAfter{});
@@ -205,13 +214,6 @@ SimTime Simulator::peek_event_time() {
     }
     return static_cast<SimTime>(e.time);
   }
-}
-
-SimTime Simulator::next_event_time() {
-  const SimTime te = peek_event_time();
-  if (deliveries_.empty()) return te;
-  const auto td = static_cast<SimTime>(deliveries_.front().time);
-  return td < te ? td : te;
 }
 
 void Simulator::pop_delivery() {
@@ -237,34 +239,16 @@ bool Simulator::pop_next(SimTime limit) {
 }
 
 void Simulator::run_until(SimTime t) {
-  // The mode flag is re-checked on every pop: a callback may schedule the
-  // run's FIRST delivery mid-loop, and the remainder of this call must then
-  // interleave the delivery lane — deferring it to the next run_until call
-  // would reorder the delivery past later same-call events (or lose it
-  // entirely when this is the only call, as in a windowless run).
-  while (!delivery_mode_ && pop_one(t)) {
-  }
-  if (delivery_mode_) {
-    while (pop_next(t)) {
-    }
+  while (pop_next(t)) {
   }
   if (t > now_) now_ = t;
 }
 
 void Simulator::run_all(std::size_t max_events) {
   std::size_t n = 0;
-  constexpr SimTime kForever = std::numeric_limits<SimTime>::max();
-  // Mode re-checked per pop, as in run_until.
-  while (!delivery_mode_ && pop_one(kForever)) {
+  while (pop_next(std::numeric_limits<SimTime>::max())) {
     if (++n > max_events) {
       throw std::runtime_error("Simulator::run_all: event budget exceeded");
-    }
-  }
-  if (delivery_mode_) {
-    while (pop_next(kForever)) {
-      if (++n > max_events) {
-        throw std::runtime_error("Simulator::run_all: event budget exceeded");
-      }
     }
   }
 }

@@ -17,9 +17,9 @@
 //    ceil(log64(time-spread)) ~ 3 moves per entry for realistic horizons.
 //    Level-0 buckets hold a single timestamp each, so their refill is an
 //    O(1) vector swap. FIFO ties hold because equal times always share a
-//    bucket and appends are stable. The radix ordering relies on schedules
-//    never landing below the current minimum; schedule_at clamps to now()
-//    and triggers a full re-bucketing in the rare run_until() gap case.
+//    bucket and appends are stable. A schedule below the current minimum
+//    (see prepare_slot) lowers it by moving only bucket 0 and the buckets
+//    below the highest differing digit into one bucket; higher levels stay.
 //  * Cancellation tombstones are discarded when popped; a sweep runs once
 //    they outnumber live events, so cancel-heavy Periodic churn cannot
 //    accumulate dead entries (queued_entries() stays O(pending())).
@@ -92,22 +92,14 @@ class Simulator {
   // timestamps deliveries run BEFORE regular events (a fixed global rule,
   // again shard-layout-independent). Deliveries cannot be cancelled; their
   // callbacks live in the same slot arena as regular events and count
-  // toward pending(). Scheduling the first delivery permanently switches
-  // the run loops to the (slightly slower) two-lane merge; fabrics that
-  // never use the lane keep the historical single-lane fast path and its
-  // exact event order.
+  // toward pending(). The run loops have one pop path: with the lane empty
+  // it is the single-lane pop, so fabrics that never use the lane keep
+  // their exact event order.
   struct DeliveryKey {
     std::uint64_t hi{0};
     std::uint64_t lo{0};
   };
   void schedule_delivery(SimTime t, DeliveryKey key, Callback cb);
-
-  // Earliest pending timestamp across both lanes, or kNoEventTime when the
-  // simulator is idle. Non-const: pruning stale queue heads is how the
-  // radix queue discovers its minimum. The sharded runner polls this for
-  // barrier-stall accounting and drain detection.
-  static constexpr SimTime kNoEventTime = std::numeric_limits<SimTime>::max();
-  [[nodiscard]] SimTime next_event_time();
 
   // Run every event with timestamp <= `t`; afterwards now() == t even if
   // the queue drained early.
@@ -214,13 +206,13 @@ class Simulator {
   std::uint32_t prepare_slot(SimTime t) {
     if (t < now_) t = now_;
     const auto time = static_cast<std::uint64_t>(t);
-    // run_until() can advance now() past the last popped batch, leaving
-    // last_min_ at a future event time; a schedule into that gap must
-    // lower last_min_ so the radix ordering invariant (every queued time
-    // >= last_min_) keeps holding. Happens only between run calls, never
-    // inside the event loop (callbacks schedule at >= now() == last_min_).
+    // last_min_ can sit above now(): run_until() advances the clock into
+    // the gap before the next batch, and the two-lane pop peeks (refills)
+    // the regular queue before running an earlier delivery. A schedule
+    // into that gap lowers last_min_ so the radix ordering invariant
+    // (every queued time >= last_min_) keeps holding.
     if (time < last_min_) [[unlikely]] {
-      rebuild(time);
+      lower_min(time);
     }
     const std::uint32_t index = allocate_slot();
     Slot& s = slot(index);
@@ -231,11 +223,9 @@ class Simulator {
     return index;
   }
   void grow_slab();
-  // Re-bucket every queued entry around a lowered last_min_. Needed only
-  // when an event is scheduled below the current bucket-0 time — possible
-  // after run_until() advanced the clock into a gap before the next batch
-  // — so it runs at interaction boundaries, never in the pop hot path.
-  void rebuild(std::uint64_t new_last_min);
+  // Lower last_min_ to `t` < last_min_, moving only the buckets that sit
+  // below the highest digit where the two differ (simulator.cc).
+  void lower_min(std::uint64_t t);
   // Redistribute the lowest non-empty bucket around its minimum; returns
   // false when the queue is empty.
   bool refill_bucket0();
@@ -260,7 +250,8 @@ class Simulator {
   };
   // Like pop_one's head inspection but without popping: prunes stale
   // entries off the regular queue until a live head (or emptiness) is
-  // found, returns its timestamp.
+  // found, returns its timestamp (kNoEventTime when empty).
+  static constexpr SimTime kNoEventTime = std::numeric_limits<SimTime>::max();
   [[nodiscard]] SimTime peek_event_time();
   // Two-lane pop: the earlier lane wins, deliveries win ties.
   bool pop_next(SimTime limit);
@@ -282,7 +273,6 @@ class Simulator {
   std::uint32_t slot_count_{0};
   std::uint32_t free_head_{kNoFreeSlot};
   std::vector<DeliveryEntry> deliveries_;  // min-heap via DeliveryAfter
-  bool delivery_mode_{false};  // sticky: first schedule_delivery sets it
 };
 
 // RAII periodic task: fires `fn` every `period` starting at `start` until

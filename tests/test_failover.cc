@@ -5,6 +5,8 @@
 // warm standby takes over with every oracle holding.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "check/fuzzer.h"
 #include "check/spec.h"
 #include "harness/experiments.h"
@@ -379,6 +381,35 @@ TEST(ManagerFailover, FuzzedCrashSeedsHoldAllOracles) {
                     << v.message;
     }
   }
+}
+
+// The scenario silences a crashed primary through the injector it owns:
+// with none supplied by the caller, nothing the dead primary sends from the
+// crash instant on is delivered, while its earlier sends are.
+TEST(ManagerFailover, CrashedPrimarySendsNothingWithoutCallerInjector) {
+  harness::ScenarioConfig config;
+  config.seed = 5;
+  config.standby.enabled = true;
+  harness::Scenario scenario(config);
+  harness::NodeSpec spec;
+  spec.name = "listener";
+  const std::size_t node = scenario.add_node(spec);
+  scenario.start_node(node);
+  const SimTime crash_at = sec(2.0);
+  scenario.schedule_manager_crash(crash_at, journal::CrashPoint::kAfterAppend,
+                                  sec(0.5));
+  // Probe sends from the primary's host; the one at crash_at is queued
+  // after the crash trigger, so it runs just after the primary died.
+  std::vector<SimTime> delivered;
+  for (const SimTime at : {sec(1.0), crash_at, sec(2.2), sec(3.0)}) {
+    scenario.simulator().schedule_at(at, [&scenario, &delivered, node, at] {
+      scenario.fabric().deliver(HostId{0}, scenario.node_id(node), 64.0,
+                                [&delivered, at] { delivered.push_back(at); });
+    });
+  }
+  scenario.run_until(sec(4.0));
+  ASSERT_TRUE(scenario.manager_crashed());
+  EXPECT_EQ(delivered, std::vector<SimTime>{sec(1.0)});
 }
 
 }  // namespace

@@ -107,7 +107,6 @@ class PathFaultTest : public ::testing::Test {
  protected:
   PathFaultTest()
       : scenario_(ScenarioConfig{.seed = 77}, harness::NetKind::kGeo) {
-    scenario_.fabric().set_fault_injector(&faults_);
     NodeSpec spec;
     spec.name = "primary";
     spec.position = {44.978, -93.265};
@@ -124,7 +123,6 @@ class PathFaultTest : public ::testing::Test {
   }
 
   Scenario scenario_;
-  net::FaultInjector faults_;
   std::size_t primary_{0};
   std::size_t backup_{0};
 };
@@ -142,7 +140,7 @@ TEST_F(PathFaultTest, ClientFailsOverWhenItsPathDiesNodeStaysUp) {
   const std::size_t current = *scenario_.node_index(*user.current_node());
 
   // Sever only this client's path to its node, both directions, forever.
-  faults_.partition(user.id(), scenario_.node_id(current), sec(6), sec(600));
+  scenario_.partition(user.id(), scenario_.node_id(current), sec(6), sec(600));
   scenario_.run_until(sec(12.0));
 
   // The node is still running and registered — but this client moved.
@@ -169,7 +167,7 @@ TEST_F(PathFaultTest, TransientBrownoutHealsWithoutFlapping) {
 
   // 600 ms brownout: shorter than keepalive_misses x period detection, so
   // the client should ride it out without a failover.
-  faults_.partition(user.id(), *user.current_node(), sec(6), sec(6.6));
+  scenario_.partition(user.id(), *user.current_node(), sec(6), sec(6.6));
   scenario_.run_until(sec(12.0));
   EXPECT_EQ(user.stats().hard_failures, 0u);
   EXPECT_GT(user.latency_series().window(sec(8), sec(12)).count(), 20u);
@@ -187,7 +185,7 @@ TEST_F(PathFaultTest, ManagerBrownoutOnlyPausesDiscovery) {
   const auto frames_before = user.stats().frames_ok;
 
   // The manager goes dark for 10 s; the data plane must not care.
-  faults_.isolate_host(HostId{0}, sec(6), sec(16));
+  scenario_.isolate_host(HostId{0}, sec(6), sec(16));
   scenario_.run_until(sec(16.0));
   EXPECT_GT(user.stats().frames_ok, frames_before + 100);
   EXPECT_TRUE(user.current_node().has_value());
@@ -208,7 +206,7 @@ TEST_F(PathFaultTest, FailoverLandsOnSlowedBackupWhenNodeDies) {
 
   // The only surviving path is 4x slower AND the attached node dies: the
   // failover must still land on the slowed backup, not strand the client.
-  faults_.slow_link(user.id(), scenario_.node_id(other), 4.0, sec(5), sec(30));
+  scenario_.slow_link(user.id(), scenario_.node_id(other), 4.0, sec(5), sec(30));
   scenario_.stop_node(current, /*graceful=*/false);
   scenario_.run_until(sec(14.0));
 
@@ -227,9 +225,7 @@ TEST_F(PathFaultTest, FailoverLandsOnSlowedBackupWhenNodeDies) {
 // one dies mid-run while the client's path to a third is browned out. The
 // client must end attached to a node that is actually running.
 TEST(ChurnFaults, ScheduledChurnWithFaultWindowKeepsClientOnLiveNode) {
-  net::FaultInjector faults;
   Scenario scenario(ScenarioConfig{.seed = 31}, harness::NetKind::kGeo);
-  scenario.fabric().set_fault_injector(&faults);
 
   NodeSpec spec;
   spec.position = {44.978, -93.265};
@@ -260,8 +256,8 @@ TEST(ChurnFaults, ScheduledChurnWithFaultWindowKeepsClientOnLiveNode) {
 
   // Brownout to the doomed node straddles its death; brownout to the late
   // arrival straddles its birth.
-  faults.partition(user.id(), scenario.node_id(doomed), sec(10), sec(14));
-  faults.slow_link(user.id(), scenario.node_id(late), 3.0, sec(5), sec(8));
+  scenario.partition(user.id(), scenario.node_id(doomed), sec(10), sec(14));
+  scenario.slow_link(user.id(), scenario.node_id(late), 3.0, sec(5), sec(8));
 
   scenario.run_until(sec(24.0));
 
@@ -278,10 +274,8 @@ TEST(ChurnFaults, ScheduledChurnWithFaultWindowKeepsClientOnLiveNode) {
 // A dead node must age out of the registry even while the manager's link
 // to OTHER hosts is degraded — TTL expiry is local to the manager.
 TEST(ChurnFaults, RegistryExpiresDeadNodeDuringUnrelatedFaults) {
-  net::FaultInjector faults;
   const ScenarioConfig config{.seed = 33, .heartbeat_ttl = sec(3.0)};
   Scenario scenario(config, harness::NetKind::kGeo);
-  scenario.fabric().set_fault_injector(&faults);
 
   NodeSpec spec;
   spec.position = {44.978, -93.265};
@@ -307,7 +301,7 @@ TEST(ChurnFaults, RegistryExpiresDeadNodeDuringUnrelatedFaults) {
   ASSERT_EQ(live_ids(sec(2.0)).size(), 2u);
 
   // Unrelated noise: slow the surviving node's heartbeat path.
-  faults.slow_link(scenario.node_id(stays), HostId{0}, 2.0, sec(2), sec(20));
+  scenario.slow_link(scenario.node_id(stays), HostId{0}, 2.0, sec(2), sec(20));
   scenario.stop_node(dies, /*graceful=*/false);
   scenario.run_until(sec(12.0));
 

@@ -6,10 +6,15 @@
 // against the windowless one-shard sequential reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <functional>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "check/fuzzer.h"
@@ -52,13 +57,124 @@ TEST(DeliveryLane, OrdersByCanonicalKeyNotInsertion) {
 
 TEST(DeliveryLane, CountsTowardPendingAndNextEventTime) {
   sim::Simulator sim;
+  bool ran = false;
   sim.schedule_delivery(msec(4), sim::Simulator::DeliveryKey{1, 0},
-                        sim::Callback([] {}));
+                        sim::Callback([&ran] { ran = true; }));
   EXPECT_EQ(sim.pending(), 1u);
-  EXPECT_EQ(sim.next_event_time(), msec(4));
+  sim.run_until(msec(4) - 1);  // the lane's next event is not due yet
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(sim.pending(), 1u);
   sim.run_all();
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(sim.now(), msec(4));
   EXPECT_EQ(sim.pending(), 0u);
-  EXPECT_EQ(sim.next_event_time(), sim::Simulator::kNoEventTime);
+}
+
+// Deliveries that schedule regular events below the next queued regular
+// time lower the radix queue's minimum from inside the event loop (the
+// two-lane pop has already refilled the regular queue). Execution order
+// must still equal a brute-force reference: (time, lane, key | seq), with
+// deliveries (lane 0) before regular events (lane 1) at equal times.
+TEST(DeliveryLane, LoweringInsideTheLoopKeepsReferenceOrder) {
+  struct Pending {
+    SimTime at;
+    int lane;
+    std::uint64_t hi;  // delivery key.hi; 0 for regular events
+    std::uint64_t lo;  // delivery key.lo, or the regular event's seq
+    int id;
+    bool operator<(const Pending& o) const {
+      return std::tie(at, lane, hi, lo) < std::tie(o.at, o.lane, o.hi, o.lo);
+    }
+  };
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    sim::Simulator sim;
+    std::mt19937_64 rng(seed);
+    auto draw = [&rng](std::uint64_t n) { return rng() % n; };
+    std::vector<Pending> reference;
+    std::unordered_map<int, sim::EventId> regular_ids;
+    std::uint64_t seq = 0;
+    std::uint64_t delivery_lo = 0;
+    int next_id = 0;
+    int executed = 0;
+    int out_of_order = 0;
+    std::function<void(SimTime)> add_regular;
+    std::function<void(SimTime)> add_delivery;
+
+    // Runs inside the engine: the event must be the reference minimum.
+    auto fire = [&](int id, bool delivery) {
+      const auto min = std::min_element(reference.begin(), reference.end());
+      if (min == reference.end() || min->id != id) ++out_of_order;
+      reference.erase(std::find_if(reference.begin(), reference.end(),
+                                   [id](const Pending& p) {
+                                     return p.id == id;
+                                   }));
+      regular_ids.erase(id);
+      ++executed;
+      const SimTime now = sim.now();
+      if (delivery) {
+        // Regular follow-ups just past now: usually below the regular
+        // queue's next (already refilled) minimum.
+        for (std::uint64_t k = draw(3); k > 0; --k) {
+          add_regular(now + static_cast<SimTime>(draw(40)));
+        }
+        if (draw(5) == 0) add_delivery(now + 1 + static_cast<SimTime>(draw(40)));
+      } else {
+        if (draw(3) == 0) add_regular(now + static_cast<SimTime>(draw(5000)));
+        if (draw(4) == 0) add_delivery(now + 1 + static_cast<SimTime>(draw(100)));
+        if (draw(8) == 0 && !regular_ids.empty()) {
+          // Cancel some pending regular event: its tombstone rides along
+          // through every later lowering.
+          auto victim = regular_ids.begin();
+          std::advance(victim, static_cast<long>(draw(regular_ids.size())));
+          const int victim_id = victim->first;
+          EXPECT_TRUE(sim.cancel(victim->second));
+          regular_ids.erase(victim);
+          reference.erase(std::find_if(reference.begin(), reference.end(),
+                                       [victim_id](const Pending& p) {
+                                         return p.id == victim_id;
+                                       }));
+        }
+      }
+    };
+    add_regular = [&](SimTime at) {
+      const int id = next_id++;
+      reference.push_back({at, 1, 0, seq++, id});
+      regular_ids[id] = sim.schedule_at(at, [&fire, id] { fire(id, false); });
+    };
+    add_delivery = [&](SimTime at) {
+      const int id = next_id++;
+      const sim::Simulator::DeliveryKey key{draw(4), delivery_lo++};
+      reference.push_back({at, 0, key.hi, key.lo, id});
+      sim.schedule_delivery(at, key, sim::Callback([&fire, id] {
+                              fire(id, true);
+                            }));
+    };
+
+    // Sparse regular events spanning several radix levels, dense
+    // deliveries near the front, some on a coarse grid for ties.
+    for (int i = 0; i < 60; ++i) {
+      add_regular(draw(2) == 0 ? static_cast<SimTime>(draw(1u << 22))
+                               : static_cast<SimTime>(draw(64)) * 1000);
+    }
+    for (int i = 0; i < 60; ++i) {
+      add_delivery(1 + static_cast<SimTime>(draw(50'000)));
+    }
+    // Run in slices, scheduling into each run_until gap between them.
+    SimTime limit = 0;
+    for (int slice = 0; slice < 12; ++slice) {
+      limit += static_cast<SimTime>(draw(400'000));
+      sim.run_until(limit);
+      for (const Pending& p : reference) EXPECT_GT(p.at, limit);
+      add_regular(limit + static_cast<SimTime>(draw(100)));
+    }
+    sim.run_all();
+    EXPECT_EQ(out_of_order, 0);
+    EXPECT_TRUE(reference.empty());
+    EXPECT_EQ(sim.pending(), 0u);
+    EXPECT_EQ(sim.events_processed(), static_cast<std::uint64_t>(executed));
+    EXPECT_GT(executed, 200);
+  }
 }
 
 // ---- ShardRouter ----
