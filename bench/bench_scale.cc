@@ -218,6 +218,46 @@ harness::NodeSpec fleet_node_spec(std::size_t index, Rng& rng) {
   return spec;
 }
 
+// The smoke/scale fleet: `nodes` started nodes around the metro, then
+// `clients` low-rate clients whose joins are staggered across the first 5
+// simulated seconds so discovery load ramps like a real fleet, not one
+// thundering herd. The layout stream is a pure function of the seed, so
+// every harness configuration builds the same geometry.
+void build_fleet(harness::ShardedScenario& scenario, int clients, int nodes) {
+  Rng layout = Rng(scenario.config().base.seed).fork("scale-layout");
+  const std::size_t first_node = scenario.add_nodes(
+      harness::NodeSpec{}, static_cast<std::size_t>(nodes),
+      [&](std::size_t i, harness::NodeSpec& spec) {
+        spec = fleet_node_spec(i, layout);
+      });
+  for (std::size_t i = 0; i < static_cast<std::size_t>(nodes); ++i) {
+    scenario.start_node(first_node + i);
+  }
+  const std::size_t first_client = scenario.add_edge_clients(
+      [&](std::size_t i) {
+        harness::ClientSpot spot;
+        spot.name = "u" + std::to_string(i);
+        spot.position = harness::random_point_near(kMetroCenter, 40.0, layout);
+        spot.network_tag = (i % 2 == 0) ? "isp-a" : "isp-b";
+        return spot;
+      },
+      [](std::size_t) {
+        client::ClientConfig client_config;
+        client_config.top_n = 3;
+        client_config.app.max_fps = 2.0;
+        client_config.app.min_fps = 0.5;
+        client_config.app.adaptive_rate = false;
+        return client_config;
+      },
+      static_cast<std::size_t>(clients));
+  for (std::size_t i = 0; i < static_cast<std::size_t>(clients); ++i) {
+    const SimTime start_at =
+        msec(5000.0 * static_cast<double>(i) / std::max(1, clients));
+    scenario.schedule_at_client(first_client + i, start_at,
+                                [](client::EdgeClient& c) { c.start(); });
+  }
+}
+
 // `network`, when given, receives the delay-sampling timing of the fleet.
 ScaleResult run_scale_scenario(int clients, int nodes, double sim_seconds,
                                NetworkTiming* network = nullptr) {
@@ -229,43 +269,8 @@ ScaleResult run_scale_scenario(int clients, int nodes, double sim_seconds,
   harness::ScenarioConfig config;
   config.seed = 7;
   auto scenario = std::make_unique<harness::Scenario>(config);
-  Rng layout = scenario->rng().fork("scale-layout");
-
-  result.build_sec = wall_seconds([&] {
-    const std::size_t first_node = scenario->add_nodes(
-        harness::NodeSpec{}, static_cast<std::size_t>(nodes),
-        [&](std::size_t i, harness::NodeSpec& spec) {
-          spec = fleet_node_spec(i, layout);
-        });
-    for (std::size_t i = 0; i < static_cast<std::size_t>(nodes); ++i) {
-      scenario->start_node(first_node + i);
-    }
-    const std::size_t first_client = scenario->add_edge_clients(
-        [&](std::size_t i) {
-          harness::ClientSpot spot;
-          spot.name = "u" + std::to_string(i);
-          spot.position = harness::random_point_near(kMetroCenter, 40.0, layout);
-          spot.network_tag = (i % 2 == 0) ? "isp-a" : "isp-b";
-          return spot;
-        },
-        [](std::size_t) {
-          client::ClientConfig client_config;
-          client_config.top_n = 3;
-          client_config.app.max_fps = 2.0;
-          client_config.app.min_fps = 0.5;
-          client_config.app.adaptive_rate = false;
-          return client_config;
-        },
-        static_cast<std::size_t>(clients));
-    for (std::size_t i = 0; i < static_cast<std::size_t>(clients); ++i) {
-      auto& c = scenario->edge_client(first_client + i);
-      // Stagger joins across the first 5 simulated seconds so discovery
-      // load ramps like a real fleet, not one thundering herd.
-      const SimTime start_at =
-          msec(5000.0 * static_cast<double>(i) / std::max(1, clients));
-      scenario->simulator().schedule_at(start_at, [&c] { c.start(); });
-    }
-  });
+  result.build_sec =
+      wall_seconds([&] { build_fleet(*scenario, clients, nodes); });
 
   const std::uint64_t allocs_before = bench::allocation_count();
   const std::uint64_t events_before = scenario->simulator().events_processed();
@@ -288,7 +293,7 @@ ScaleResult run_scale_scenario(int clients, int nodes, double sim_seconds,
   result.latency_p99_ms = fleet.latency_p99_ms;
   result.peak_rss_mb = peak_rss_mb();
   if (network != nullptr) {
-    *network = time_sample_delay(*scenario, scenario->rng().fork("pairs"));
+    *network = time_sample_delay(*scenario, Rng(config.seed).fork("pairs"));
   }
   return result;
 }
@@ -335,44 +340,8 @@ ShardSweepResult run_shard_scenario(int clients, int nodes,
   // same machinery and the stall fraction is comparable.
   config.force_windows = true;
   auto scenario = std::make_unique<harness::ShardedScenario>(config);
-  // Same layout stream as run_scale_scenario: fork() is a pure function of
-  // (seed, name), so the fleet geometry matches the sequential bench.
-  Rng layout = Rng(config.base.seed).fork("scale-layout");
-
-  result.build_sec = wall_seconds([&] {
-    const std::size_t first_node = scenario->add_nodes(
-        harness::NodeSpec{}, static_cast<std::size_t>(nodes),
-        [&](std::size_t i, harness::NodeSpec& spec) {
-          spec = fleet_node_spec(i, layout);
-        });
-    for (std::size_t i = 0; i < static_cast<std::size_t>(nodes); ++i) {
-      scenario->start_node(first_node + i);
-    }
-    const std::size_t first_client = scenario->add_edge_clients(
-        [&](std::size_t i) {
-          harness::ClientSpot spot;
-          spot.name = "u" + std::to_string(i);
-          spot.position = harness::random_point_near(kMetroCenter, 40.0, layout);
-          spot.network_tag = (i % 2 == 0) ? "isp-a" : "isp-b";
-          return spot;
-        },
-        [](std::size_t) {
-          client::ClientConfig client_config;
-          client_config.top_n = 3;
-          client_config.app.max_fps = 2.0;
-          client_config.app.min_fps = 0.5;
-          client_config.app.adaptive_rate = false;
-          return client_config;
-        },
-        static_cast<std::size_t>(clients));
-    for (std::size_t i = 0; i < static_cast<std::size_t>(clients); ++i) {
-      const SimTime start_at =
-          msec(5000.0 * static_cast<double>(i) / std::max(1, clients));
-      scenario->schedule_at_client(
-          first_client + i, start_at,
-          [](client::EdgeClient& c) { c.start(); });
-    }
-  });
+  result.build_sec =
+      wall_seconds([&] { build_fleet(*scenario, clients, nodes); });
 
   result.run_sec =
       wall_seconds([&] { scenario->run_until(sec(sim_seconds)); });

@@ -4,11 +4,9 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 #include <utility>
 
 #include "geo/geopoint.h"
-#include "harness/sharded_scenario.h"
 #include "manager/registry.h"
 
 namespace eden::check {
@@ -25,11 +23,11 @@ net::AccessTier clamp_tier(int tier) {
 
 // Symbolic endpoint -> host. nullopt for dangling indices (a hand-edited
 // spec may reference entities the shrinker dropped): the window is skipped.
-template <class World>
-std::optional<HostId> resolve_endpoint(World& world, const FuzzEndpoint& ep) {
+std::optional<HostId> resolve_endpoint(harness::ShardedScenario& world,
+                                       const FuzzEndpoint& ep) {
   switch (ep.kind) {
     case EndpointKind::kManager:
-      return HostId{0};  // both harnesses allocate host 0 to the manager
+      return HostId{0};  // the harness allocates host 0 to the manager
     case EndpointKind::kNode:
       if (ep.index < 0 ||
           static_cast<std::size_t>(ep.index) >= world.node_count()) {
@@ -44,18 +42,6 @@ std::optional<HostId> resolve_endpoint(World& world, const FuzzEndpoint& ep) {
       return world.edge_client(static_cast<std::size_t>(ep.index)).id();
   }
   return std::nullopt;
-}
-
-// The manager whose registry the end state reads. After a takeover the
-// standby owns it; without one active_manager() is the primary. The
-// sharded harness has no standby.
-template <class World>
-manager::CentralManager& registry_owner(World& world) {
-  if constexpr (std::is_same_v<World, harness::Scenario>) {
-    return world.active_manager();
-  } else {
-    return world.central_manager();
-  }
 }
 
 }  // namespace
@@ -75,8 +61,8 @@ harness::NetKind spec_net_kind(const ScenarioSpec& spec) {
              : harness::NetKind::kGeo;
 }
 
-template <class World>
-void build_spec_world(const ScenarioSpec& spec, World& world) {
+void build_spec_world(const ScenarioSpec& spec,
+                      harness::ShardedScenario& world) {
   // Enforce the quiet-tail contract for any spec, not just generated ones.
   const double quiet_start =
       std::max(0.0, spec.horizon_sec - std::max(0.0, spec.cooldown_sec));
@@ -207,12 +193,11 @@ void build_spec_world(const ScenarioSpec& spec, World& world) {
   }
 }
 
-template <class World>
-void observe_spec_world(const ScenarioSpec& spec, World& world,
-                        SpecOutcome& out) {
+void observe_spec_world(const ScenarioSpec& spec,
+                        harness::ShardedScenario& world, SpecOutcome& out) {
   const SimTime horizon = sec(spec.horizon_sec);
   EndState& end = out.end;
-  manager::CentralManager& owner = registry_owner(world);
+  manager::CentralManager& owner = world.active_manager();
   for (std::size_t i = 0; i < world.node_count(); ++i) {
     node::EdgeNode& n = world.node(i);
     end.nodes.push_back({n.id(), n.running(), n.attached_ids(),
@@ -270,13 +255,5 @@ void check_oracles(const ScenarioSpec& spec,
     oracle->check(view, out.violations);
   }
 }
-
-template void build_spec_world(const ScenarioSpec&, harness::Scenario&);
-template void build_spec_world(const ScenarioSpec&,
-                               harness::ShardedScenario&);
-template void observe_spec_world(const ScenarioSpec&, harness::Scenario&,
-                                 SpecOutcome&);
-template void observe_spec_world(const ScenarioSpec&,
-                                 harness::ShardedScenario&, SpecOutcome&);
 
 }  // namespace eden::check

@@ -1,13 +1,12 @@
 // The one spec recipe: how a ScenarioSpec becomes a world and how the
 // world's end state is read back, shared by check::run_spec (on
-// harness::Scenario) and check::run_spec_sharded (on
-// harness::ShardedScenario). Both harnesses expose the same construction
-// surface, so the recipe is written once: node clamps and background
-// ramps, client starts and stops, fault windows clamped to the quiet tail
-// and the crash instant, the EndState snapshot, the vacuity gate, the
-// counter tally and the oracle loop. Each runner keeps only what really
-// differs — its config, crash scheduling, teardown and which trace it
-// digests.
+// harness::Scenario, the sequential FIFO-delivery configuration) and
+// check::run_spec_sharded (on a domain-partitioned harness::ShardedScenario):
+// node clamps and background ramps, client starts and stops, fault windows
+// clamped to the quiet tail and the crash instant, the EndState snapshot,
+// the vacuity gate, the counter tally and the oracle loop. Each runner
+// keeps only what really differs — its config, crash scheduling, teardown
+// and which trace it digests.
 #pragma once
 
 #include <vector>
@@ -15,7 +14,7 @@
 #include "check/fuzzer.h"
 #include "check/oracle.h"
 #include "check/spec.h"
-#include "harness/scenario.h"
+#include "harness/sharded_scenario.h"
 #include "obs/trace.h"
 
 namespace eden::check {
@@ -26,16 +25,15 @@ namespace eden::check {
 [[nodiscard]] harness::NetKind spec_net_kind(const ScenarioSpec& spec);
 
 // Nodes and their ramps, clients and their stops, and the fault windows,
-// in that order, scheduled on a freshly constructed world. Instantiated
-// for harness::Scenario and harness::ShardedScenario.
-template <class World>
-void build_spec_world(const ScenarioSpec& spec, World& world);
+// in that order, scheduled on a freshly constructed world.
+void build_spec_world(const ScenarioSpec& spec,
+                      harness::ShardedScenario& world);
 
-// After run_until(horizon): snapshot the end state, apply the vacuity
-// gate and sum the client counters into `out`.
-template <class World>
-void observe_spec_world(const ScenarioSpec& spec, World& world,
-                        SpecOutcome& out);
+// After run_until(horizon): snapshot the end state (the registry of the
+// manager active at the horizon), apply the vacuity gate and sum the
+// client counters into `out`.
+void observe_spec_world(const ScenarioSpec& spec,
+                        harness::ShardedScenario& world, SpecOutcome& out);
 
 // Evaluate `oracles` (null = default_oracles()) over `events` and the
 // snapshot in `out`.

@@ -12,8 +12,8 @@ namespace eden::check {
 ShardRunReport run_spec_sharded(const ScenarioSpec& spec, unsigned shards,
                                 const ShardRunOptions& options) {
   if (spec.standby) {
-    // Failover specs re-route the fleet to the standby mid-run; the
-    // sharded runner's fixed manager wiring cannot express that.
+    // Failover specs re-route the fleet to the standby mid-run, which the
+    // harness allows at one domain only; the witness compares several.
     throw std::invalid_argument(
         "run_spec_sharded does not support standby/failover specs");
   }

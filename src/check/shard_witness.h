@@ -15,12 +15,11 @@
 //   shards >= 2  → geohash-partitioned domains, conservative lookahead
 //
 // The world is built by the same spec recipe as check::run_spec()
-// (check/recipe.h); standby/crash specs are rejected, since the sharded
-// harness has no standby. The witness digest deliberately differs from
-// check::run_spec()'s:
-// run_spec digests the raw recording order of a single simulator
-// (teardown included), which is well-defined only for the sequential
-// harness. The witness digests the canonical merge of the pre-teardown
+// (check/recipe.h); standby/crash specs are rejected, since the harness
+// allows a standby at one domain only. The witness digest deliberately
+// differs from check::run_spec()'s: run_spec digests the raw recording
+// order of a single simulator (teardown included), which is well-defined
+// only for the sequential configuration (harness::Scenario). The witness digests the canonical merge of the pre-teardown
 // prefix, the strongest artifact that is meaningful at EVERY shard count.
 #pragma once
 

@@ -8,9 +8,9 @@
 // emplace(). Indices are positional and permanent: column i of every
 // deque describes entity i.
 //
-// NodeSpec / ClientSpot / FleetStats / NetKind live here (not in
-// scenario.h) so the sharded runner can describe fleets without pulling
-// in the full sequential Scenario.
+// NodeSpec / ClientSpot / FleetStats / NetKind live here, beside the
+// fleets they describe, so describing a fleet does not pull in the whole
+// harness (sharded_scenario.h).
 #pragma once
 
 #include <cstddef>
@@ -80,13 +80,12 @@ enum class NetKind { kGeo, kMatrix };
 // references the node — emplace() constructs them in that order.
 struct NodeFleet {
   std::size_t emplace(NodeSpec spec, HostId host, net::SimNetwork& fabric,
-                      manager::CentralManager& manager, HostId manager_host,
-                      sim::Scheduler& scheduler,
+                      const ManagerRoute& route, sim::Scheduler& scheduler,
                       const node::EdgeNodeConfig& node_config,
                       StubTimeouts timeouts, WireSizes sizes) {
     specs.push_back(std::move(spec));
     hosts.push_back(host);
-    links.emplace_back(fabric, manager, manager_host, host, sizes, timeouts);
+    links.emplace_back(fabric, route, host, sizes, timeouts);
     nodes.emplace_back(scheduler, node_config, &links.back());
     stubs.emplace_back(fabric, nodes.back(), host, timeouts, sizes);
     return nodes.size() - 1;
@@ -137,9 +136,8 @@ struct StaticFleet {
   std::deque<baselines::StaticClient> clients;
 };
 
-// Incremental FleetStats aggregation shared by the sequential Scenario
-// and the sharded runner (which feeds clients in global order so the
-// percentile inputs are identical across shard layouts).
+// Incremental FleetStats aggregation; the harness feeds clients in global
+// order, so the percentile inputs are identical across shard layouts.
 class FleetStatsBuilder {
  public:
   void add(const client::EdgeClient& client);

@@ -18,66 +18,227 @@ constexpr SimDuration kHugeWindow =
 // Exact O(hosts^2) lookahead only below this host count; larger worlds use
 // the closed-form tier bound.
 constexpr std::uint32_t kExactLookaheadHosts = 256;
+// The manager (and the standby) sit in a well-connected datacenter
+// position.
+constexpr geo::GeoPoint kManagerPosition{44.9778, -93.2650};
+
+// FNV-1a, the hash behind both shard placement and network-tag ISPs.
+std::uint32_t fnv1a(const std::string& s) {
+  std::uint32_t h = 2166136261u;
+  for (const char c : s) h = (h ^ static_cast<std::uint8_t>(c)) * 16777619u;
+  return h;
+}
 }  // namespace
+
+ShardedScenario::ModelFactory ShardedScenario::builtin_model(
+    NetKind kind, double default_rtt_ms, double default_bw_mbps,
+    double jitter_sigma) {
+  return [=](sim::Clock&) -> std::unique_ptr<net::NetworkModel> {
+    if (kind == NetKind::kGeo) {
+      return std::make_unique<net::GeoNetwork>(jitter_sigma);
+    }
+    return std::make_unique<net::MatrixNetwork>(default_rtt_ms,
+                                                default_bw_mbps, jitter_sigma);
+  };
+}
 
 ShardedScenario::ShardedScenario(ShardedConfig config, NetKind kind,
                                  double default_rtt_ms,
                                  double default_bw_mbps, double jitter_sigma)
-    : config_(std::move(config)),
-      kind_(kind),
-      default_rtt_ms_(default_rtt_ms),
-      rng_(config_.base.seed) {
+    : ShardedScenario(std::move(config),
+                      builtin_model(kind, default_rtt_ms, default_bw_mbps,
+                                    jitter_sigma),
+                      default_rtt_ms, /*deterministic=*/true) {}
+
+ShardedScenario::ShardedScenario(const ScenarioConfig& config,
+                                 const ModelFactory& factory)
+    : ShardedScenario(ShardedConfig{.base = config}, factory,
+                      /*default_rtt_ms=*/0.0, /*deterministic=*/false) {}
+
+ShardedScenario::ShardedScenario(ShardedConfig config,
+                                 const ModelFactory& factory,
+                                 double default_rtt_ms, bool deterministic)
+    : config_(std::move(config)), default_rtt_ms_(default_rtt_ms) {
   const unsigned shards = std::max(1u, config_.shards);
+  if (config_.base.standby.enabled && shards > 1) {
+    throw std::invalid_argument(
+        "ShardedScenario: a warm standby needs exactly one domain");
+  }
   pool_ = std::make_unique<WindowPool>(
       std::max(1u, resolve_thread_count(config_.threads)));
+  for (unsigned s = 0; s < shards; ++s) domains_.emplace_back();
   // One model for every domain: lookups are const and write nothing, so
   // concurrent windows can share it; hosts are added only between windows.
-  if (kind_ == NetKind::kGeo) {
-    model_ = std::make_unique<net::GeoNetwork>(jitter_sigma);
-  } else {
-    model_ = std::make_unique<net::MatrixNetwork>(default_rtt_ms,
-                                                  default_bw_mbps, jitter_sigma);
-  }
-  for (unsigned s = 0; s < shards; ++s) {
-    Domain& d = domains_.emplace_back();
+  model_ = factory(domains_[0].scheduler);
+  const Rng rng(config_.base.seed);
+  for (Domain& d : domains_) {
     d.fabric = std::make_unique<net::SimNetwork>(d.sim, *model_, d.hosts,
-                                                 rng_.fork("fabric"));
-    // Same seed everywhere: a message's jitter must not depend on which
-    // domain sampled it.
-    d.fabric->enable_deterministic_delivery(config_.base.seed);
-    d.fabric->set_fault_injector(&d.faults);
+                                                 rng.fork("fabric"));
     const net::ShardRouter::ShardId id = router_.add_shard(d.fabric.get(),
                                                            &d.sim);
-    d.fabric->set_shard_router(&router_, id);
-    if (config_.base.trace) {
-      d.trace = std::make_unique<obs::TraceRecorder>();
-      d.metrics = std::make_unique<obs::MetricsRegistry>();
+    if (deterministic) {
+      // Same seed everywhere: a message's jitter must not depend on which
+      // domain sampled it.
+      d.fabric->enable_deterministic_delivery(config_.base.seed);
+      d.fabric->set_shard_router(&router_, id);
     }
   }
 
-  // Manager: always domain 0, host 0 — the same wiring (and the same host
-  // id sequence) as the sequential Scenario.
-  manager_host_ = HostId{next_host_++};
-  host_domain_.push_back(0);
-  router_.set_shard(manager_host_, 0);
-  domains_[0].hosts.set_alive(manager_host_, true);
-  register_position(manager_host_, geo::GeoPoint{44.9778, -93.2650},
-                    net::AccessTier::kLocalZone, 0.0, {});
-  manager_ = std::make_unique<manager::CentralManager>(
+  // Manager: always domain 0, host 0.
+  manager_host_ = add_host(0, kManagerPosition, net::AccessTier::kLocalZone,
+                           /*alive=*/true);
+  manager_ = make_manager();
+  route_ = ManagerRoute{manager_host_, manager_.get()};
+  for (Domain& d : domains_) {
+    d.manager_stub.emplace(*d.fabric, route_, ClientId{},
+                           config_.base.timeouts, config_.base.wire_sizes);
+  }
+  if (config_.base.standby.enabled) build_standby();
+  if (config_.base.trace) enable_observability();
+}
+
+std::unique_ptr<manager::CentralManager> ShardedScenario::make_manager() {
+  auto manager = std::make_unique<manager::CentralManager>(
       domains_[0].scheduler, config_.base.manager_policy,
       config_.base.heartbeat_ttl);
   if (config_.base.load_feedback) {
     manager::OverloadPolicy policy = config_.base.overload;
     policy.enabled = true;
-    manager_->set_overload_policy(policy);
+    manager->set_overload_policy(policy);
   }
-  if (config_.base.trace) {
-    manager_->set_observability(domains_[0].trace.get(),
-                                domains_[0].metrics.get());
+  return manager;
+}
+
+void ShardedScenario::build_standby() {
+  const StandbyConfig& standby = config_.base.standby;
+  Domain& d = domains_[0];
+  journal_backend_ = std::make_unique<journal::MemoryBackend>();
+  manager_journal_ = std::make_unique<journal::ManagerJournal>(
+      *journal_backend_, &d.scheduler, standby.journal);
+  manager_->set_mutation_sink(manager_journal_.get());
+  // The standby host comes right after the primary, before any node or
+  // client — a fixed address clients can re-resolve to.
+  standby_host_ = add_host(0, kManagerPosition, net::AccessTier::kLocalZone,
+                           /*alive=*/true);
+  standby_manager_ = make_manager();
+  standby_ = std::make_unique<journal::StandbyManager>(
+      *journal_backend_, *standby_manager_, standby.standby_options);
+  standby_tail_active_ = true;
+  schedule_standby_tail();
+}
+
+void ShardedScenario::schedule_standby_tail() {
+  domains_[0].sim.schedule_after(config_.base.standby.tail_period, [this] {
+    if (!standby_tail_active_ || takeover_done_) return;
+    standby_->tail();
+    schedule_standby_tail();
+  });
+}
+
+void ShardedScenario::schedule_manager_crash(SimTime at,
+                                             journal::CrashPoint point,
+                                             SimDuration takeover_delay) {
+  if (standby_ == nullptr) {
+    throw std::logic_error(
+        "schedule_manager_crash requires StandbyConfig::enabled");
   }
+  takeover_delay_ = takeover_delay;
+  domains_[0].sim.schedule_at(at, [this, point] { on_crash_trigger(point); });
+}
+
+void ShardedScenario::on_crash_trigger(journal::CrashPoint point) {
+  if (crashed_) return;
+  if (point == journal::CrashPoint::kAfterAppend) {
+    crash_primary(point);
+    return;
+  }
+  // Arm the journal: the crash fires inside the next group commit, so
+  // mid-batch / torn-tail surgery hits a batch that really was in flight.
+  manager_journal_->arm_crash(point, [this, point] { crash_primary(point); });
+  // Idle-registry fallback: if no commit arrives within a second, flush
+  // whatever is staged and die — the crash must not silently not happen.
+  sim::Simulator& sim = domains_[0].sim;
+  sim.schedule_after(sec(1.0), [this, point, &sim] {
+    if (!crashed_) {
+      manager_journal_->flush_now(sim.now());
+      crash_primary(point);
+    }
+  });
+}
+
+void ShardedScenario::crash_primary(journal::CrashPoint point) {
+  if (crashed_) return;
+  crashed_ = true;
+  Domain& d = domains_[0];
+  const SimTime now = d.sim.now();
+  if (point == journal::CrashPoint::kAfterAppend) {
+    manager_journal_->flush_now(now);
+  }
+  manager_journal_->disable();
+  manager_->set_mutation_sink(nullptr);
+  d.hosts.set_alive(manager_host_, false);
+  // Killing the host drops arrivals; the isolate window also drops the
+  // dead primary's own in-flight sends (e.g. the heartbeat ack a crashing
+  // commit would otherwise still emit) at send time.
+  isolate_host(manager_host_, now, std::numeric_limits<SimTime>::max());
+  if (d.trace) {
+    d.trace->record({now, obs::EventKind::kManagerCrash, manager_host_, {}, 0,
+                     static_cast<double>(static_cast<int>(point))});
+  }
+  d.sim.schedule_after(takeover_delay_, [this] { do_takeover(); });
+}
+
+void ShardedScenario::do_takeover() {
+  Domain& d = domains_[0];
+  const SimTime now = d.sim.now();
+  // Witness "expected" side first: a fresh, chaos-free one-shot replay of
+  // the surviving journal bytes — computed before take_over() mutates the
+  // backend (torn-tail truncation cannot change the clean prefix).
+  std::string bytes;
+  journal_backend_->read_all(bytes);
+  const journal::ScanResult scanned = journal::scan(bytes);
+  journal::RegistryImage expected;
+  for (const journal::JournalRecord& r : scanned.records) expected.apply(r);
+  expected_dump_ = expected.canonical_dump();
+
+  const journal::TakeoverResult result = standby_->take_over(now);
+  standby_dump_ = result.dump;
+  recovered_lsn_ = result.recovered_lsn;
+
+  // The standby adopts journaling where the primary stopped: same log,
+  // next LSN strictly above everything recovered.
+  standby_journal_ = std::make_unique<journal::ManagerJournal>(
+      *journal_backend_, &d.scheduler, config_.base.standby.journal,
+      result.recovered_lsn + 1);
+  if (d.trace) {
+    standby_journal_->set_observability(d.trace.get(), standby_host_);
+    d.trace->record({now, obs::EventKind::kManagerTakeover, standby_host_,
+                     manager_host_, 0, static_cast<double>(recovered_lsn_)});
+  }
+  standby_manager_->set_mutation_sink(standby_journal_.get());
+  takeover_done_ = true;
+  // Re-resolve every stub and link: from here on, clients and nodes talk
+  // to the standby.
+  route_ = ManagerRoute{standby_host_, standby_manager_.get()};
+}
+
+void ShardedScenario::enable_observability() {
+  if (domains_[0].trace) return;
   for (Domain& d : domains_) {
-    d.manager_stub.emplace(*d.fabric, *manager_, manager_host_, ClientId{},
-                           config_.base.timeouts, config_.base.wire_sizes);
+    d.trace = std::make_unique<obs::TraceRecorder>();
+    d.metrics = std::make_unique<obs::MetricsRegistry>();
+    for (auto& node : d.nodes.nodes) node.set_observability(d.trace.get());
+    for (auto& client : d.clients.clients) {
+      client.set_observability(d.trace.get(), d.metrics.get());
+    }
+  }
+  Domain& d0 = domains_[0];
+  manager_->set_observability(d0.trace.get(), d0.metrics.get());
+  if (standby_manager_) {
+    standby_manager_->set_observability(d0.trace.get(), d0.metrics.get());
+  }
+  if (manager_journal_) {
+    manager_journal_->set_observability(d0.trace.get(), manager_host_);
   }
 }
 
@@ -92,38 +253,35 @@ std::string ShardedScenario::geohash_of(const geo::GeoPoint& position) const {
 std::uint32_t ShardedScenario::domain_of_position(
     const geo::GeoPoint& position) const {
   if (domains_.size() == 1) return 0;
-  // FNV-1a over the shard cell (a geohash prefix coarser than the protocol
+  // Hash of the shard cell (a geohash prefix coarser than the protocol
   // precision): co-located hosts always land in the same cell, hence the
   // same shard, so zero-distance pairs never cross a shard boundary.
-  const std::string cell =
-      geo::geohash_encode(position, config_.cell_precision);
-  std::uint32_t h = 2166136261u;
-  for (const char c : cell) {
-    h = (h ^ static_cast<std::uint8_t>(c)) * 16777619u;
-  }
-  return h % static_cast<std::uint32_t>(domains_.size());
+  return fnv1a(geo::geohash_encode(position, config_.cell_precision)) %
+         static_cast<std::uint32_t>(domains_.size());
 }
 
-void ShardedScenario::register_position(HostId host,
-                                        const geo::GeoPoint& position,
-                                        net::AccessTier tier,
-                                        double extra_rtt_ms,
-                                        const std::string& network_tag) {
+HostId ShardedScenario::add_host(std::uint32_t domain,
+                                 const geo::GeoPoint& position,
+                                 net::AccessTier tier, bool alive,
+                                 double extra_rtt_ms,
+                                 const std::string& network_tag) {
+  const HostId host{next_host_++};
+  host_domain_.push_back(domain);
+  router_.set_shard(host, domain);
+  if (alive) domains_[domain].hosts.set_alive(host, true);
   min_last_mile_ms_ =
       std::min(min_last_mile_ms_, net::GeoNetwork::tier_latency_ms(tier));
-  auto* geo_net = dynamic_cast<net::GeoNetwork*>(model_.get());
-  if (geo_net == nullptr) return;
-  // Same tag→isp hash as Scenario::register_position.
-  int isp = -1;
-  if (!network_tag.empty()) {
-    std::uint32_t h = 2166136261u;
-    for (const char c : network_tag) {
-      h = (h ^ static_cast<std::uint8_t>(c)) * 16777619u;
-    }
-    isp = static_cast<int>(h & 0x7fffffff);
+  if (auto* geo_net = geo_network()) {
+    // Network tags double as ISP groups: same tag => same access provider
+    // => potentially well-peered paths the manager's affinity hint can
+    // surface.
+    const int isp = network_tag.empty()
+                        ? -1
+                        : static_cast<int>(fnv1a(network_tag) & 0x7fffffff);
+    geo_net->add_host(host, position, tier, isp);
+    if (extra_rtt_ms > 0) geo_net->set_extra_rtt_ms(host, extra_rtt_ms);
   }
-  geo_net->add_host(host, position, tier, isp);
-  if (extra_rtt_ms > 0) geo_net->set_extra_rtt_ms(host, extra_rtt_ms);
+  return host;
 }
 
 node::EdgeNodeConfig ShardedScenario::make_node_config(const NodeSpec& spec,
@@ -151,21 +309,16 @@ node::EdgeNodeConfig ShardedScenario::make_node_config(const NodeSpec& spec,
 }
 
 std::size_t ShardedScenario::add_node(const NodeSpec& spec) {
-  const HostId host{next_host_++};
   const std::uint32_t dom = domain_of_position(spec.position);
-  host_domain_.push_back(dom);
-  router_.set_shard(host, dom);
-  register_position(host, spec.position, spec.tier, spec.extra_rtt_ms,
-                    spec.network_tag);
+  const HostId host = add_host(dom, spec.position, spec.tier, /*alive=*/false,
+                               spec.extra_rtt_ms, spec.network_tag);
   Domain& d = domains_[dom];
   const std::size_t local = d.nodes.emplace(
-      spec, host, *d.fabric, *manager_, manager_host_, d.scheduler,
-      make_node_config(spec, host), config_.base.timeouts,
-      config_.base.wire_sizes);
+      spec, host, *d.fabric, route_, d.scheduler, make_node_config(spec, host),
+      config_.base.timeouts, config_.base.wire_sizes);
   node::EdgeNode& node = d.nodes.nodes[local];
   if (d.trace) node.set_observability(d.trace.get());
-  node_refs_.push_back(
-      EntityRef{dom, static_cast<std::uint32_t>(local)});
+  node_refs_.push_back(EntityRef{dom, static_cast<std::uint32_t>(local)});
   node_index_by_id_[node.id()] = node_refs_.size() - 1;
   return node_refs_.size() - 1;
 }
@@ -195,6 +348,12 @@ const NodeSpec& ShardedScenario::node_spec(std::size_t index) const {
 NodeId ShardedScenario::node_id(std::size_t index) const {
   const EntityRef ref = node_refs_[index];
   return domains_[ref.domain].nodes.hosts[ref.index];
+}
+
+std::optional<std::size_t> ShardedScenario::node_index(NodeId id) const {
+  const auto it = node_index_by_id_.find(id);
+  if (it == node_index_by_id_.end()) return std::nullopt;
+  return it->second;
 }
 
 void ShardedScenario::start_node(std::size_t index) {
@@ -273,29 +432,23 @@ client::NodeResolver ShardedScenario::resolver(std::uint32_t domain) {
   };
 }
 
-std::size_t ShardedScenario::add_edge_client(const ClientSpot& spot,
-                                             client::ClientConfig config) {
-  const HostId host{next_host_++};
+client::EdgeClient& ShardedScenario::add_edge_client(
+    const ClientSpot& spot, client::ClientConfig config) {
   const std::uint32_t dom = domain_of_position(spot.position);
-  host_domain_.push_back(dom);
-  router_.set_shard(host, dom);
-  Domain& d = domains_[dom];
-  d.hosts.set_alive(host, true);
-  register_position(host, spot.position, spot.tier, 0.0, spot.network_tag);
-
+  const HostId host = add_host(dom, spot.position, spot.tier, /*alive=*/true,
+                               0.0, spot.network_tag);
   config.id = host;
   if (config.geohash.empty()) config.geohash = geohash_of(spot.position);
   if (config.network_tag.empty()) config.network_tag = spot.network_tag;
 
+  Domain& d = domains_[dom];
   const std::size_t local =
       d.clients.emplace(spot, host, d.scheduler, *d.manager_stub,
                         resolver(dom), std::move(config));
-  if (d.trace) {
-    d.clients.clients[local].set_observability(d.trace.get(),
-                                               d.metrics.get());
-  }
+  client::EdgeClient& client = d.clients.clients[local];
+  if (d.trace) client.set_observability(d.trace.get(), d.metrics.get());
   client_refs_.push_back(EntityRef{dom, static_cast<std::uint32_t>(local)});
-  return client_refs_.size() - 1;
+  return client;
 }
 
 std::size_t ShardedScenario::add_edge_clients(const ClientSpotFn& spot_fn,
@@ -321,23 +474,42 @@ void ShardedScenario::schedule_at_client(
       at, [this, index, fn = std::move(fn)] { fn(edge_client(index)); });
 }
 
+baselines::StaticClient& ShardedScenario::add_static_client(
+    const ClientSpot& spot, workload::AppProfile app) {
+  const std::uint32_t dom = domain_of_position(spot.position);
+  const HostId host = add_host(dom, spot.position, spot.tier, /*alive=*/true,
+                               0.0, spot.network_tag);
+  Domain& d = domains_[dom];
+  const std::size_t local = d.statics.emplace(spot, host, d.scheduler,
+                                              resolver(dom), std::move(app));
+  return d.statics.clients[local];
+}
+
+void ShardedScenario::attach_faults() {
+  for (Domain& d : domains_) d.fabric->set_fault_injector(&d.faults);
+}
+
 void ShardedScenario::cut_link(HostId a, HostId b, SimTime from,
                                SimTime until) {
+  attach_faults();
   for (Domain& d : domains_) d.faults.cut_link(a, b, from, until);
 }
 
 void ShardedScenario::partition(HostId a, HostId b, SimTime from,
                                 SimTime until) {
+  attach_faults();
   for (Domain& d : domains_) d.faults.partition(a, b, from, until);
 }
 
 void ShardedScenario::slow_link(HostId a, HostId b, double factor,
                                 SimTime from, SimTime until) {
+  attach_faults();
   min_slow_factor_ = std::min(min_slow_factor_, factor);
   for (Domain& d : domains_) d.faults.slow_link(a, b, factor, from, until);
 }
 
 void ShardedScenario::isolate_host(HostId host, SimTime from, SimTime until) {
+  attach_faults();
   for (Domain& d : domains_) d.faults.isolate_host(host, from, until);
 }
 
@@ -423,6 +595,49 @@ void ShardedScenario::run_until(SimTime horizon) {
     });
     cursor_ = w_end;
   }
+}
+
+std::vector<baselines::NodeInfo> ShardedScenario::node_infos() const {
+  std::vector<baselines::NodeInfo> out;
+  out.reserve(node_count());
+  for (std::size_t i = 0; i < node_count(); ++i) {
+    const NodeSpec& spec = node_spec(i);
+    baselines::NodeInfo info;
+    info.id = node_id(i);
+    info.name = spec.name;
+    info.position = spec.position;
+    info.cores = spec.cores;
+    info.base_frame_ms = spec.base_frame_ms;
+    info.dedicated = spec.dedicated;
+    info.is_cloud = spec.is_cloud;
+    info.burstable = spec.burstable;
+    info.burst_baseline = spec.burst_baseline;
+    info.contention_alpha = spec.contention_alpha;
+    out.push_back(std::move(info));
+  }
+  return out;
+}
+
+baselines::PredictInput ShardedScenario::predict_input(
+    const std::vector<HostId>& clients, double fps, double frame_bytes) const {
+  baselines::PredictInput input;
+  input.nodes = node_infos();
+  input.fps = fps;
+  for (const HostId client : clients) {
+    std::vector<double> rtt_row;
+    std::vector<double> trans_row;
+    rtt_row.reserve(node_count());
+    trans_row.reserve(node_count());
+    for (std::size_t i = 0; i < node_count(); ++i) {
+      const HostId node_host = node_id(i);
+      rtt_row.push_back(to_ms(model_->base_rtt(client, node_host)));
+      trans_row.push_back(
+          to_ms(model_->transfer_delay(client, node_host, frame_bytes)));
+    }
+    input.rtt_ms.push_back(std::move(rtt_row));
+    input.trans_ms.push_back(std::move(trans_row));
+  }
+  return input;
 }
 
 FleetStats ShardedScenario::fleet_stats() const {

@@ -76,24 +76,24 @@ void SimManagerStub::discover(
   const ClientId source =
       request.client.valid() ? request.client : default_client_host_;
   network_->rpc<net::DiscoveryResponse>(
-      source, mgr_host(), sizes_.discovery_request, response_bytes,
+      source, route_->host, sizes_.discovery_request, response_bytes,
       timeouts_.discovery,
-      [manager = mgr(), request] {
+      [manager = route_->manager, request] {
         return manager->handle_discover(request);
       },
       std::move(done));
 }
 
 void SimManagerLink::register_node(const net::NodeStatus& status) {
-  network_->deliver(node_host_, mgr_host(), sizes_.heartbeat,
-                    [manager = mgr(), status] {
+  network_->deliver(node_host_, route_->host, sizes_.heartbeat,
+                    [manager = route_->manager, status] {
                       manager->handle_register(status);
                     });
 }
 
 void SimManagerLink::heartbeat(const net::NodeStatus& status) {
-  network_->deliver(node_host_, mgr_host(), sizes_.heartbeat,
-                    [manager = mgr(), status] {
+  network_->deliver(node_host_, route_->host, sizes_.heartbeat,
+                    [manager = route_->manager, status] {
                       manager->handle_heartbeat(status);
                     });
 }
@@ -102,15 +102,17 @@ void SimManagerLink::heartbeat_feedback(
     const net::NodeStatus& status,
     net::Done<std::optional<net::HeartbeatAck>> done) {
   network_->rpc<net::HeartbeatAck>(
-      node_host_, mgr_host(), sizes_.heartbeat, sizes_.heartbeat_ack,
+      node_host_, route_->host, sizes_.heartbeat, sizes_.heartbeat_ack,
       timeouts_.heartbeat,
-      [manager = mgr(), status] { return manager->handle_heartbeat(status); },
+      [manager = route_->manager, status] {
+        return manager->handle_heartbeat(status);
+      },
       std::move(done));
 }
 
 void SimManagerLink::deregister(NodeId node) {
-  network_->deliver(node_host_, mgr_host(), sizes_.heartbeat,
-                    [manager = mgr(), node] {
+  network_->deliver(node_host_, route_->host, sizes_.heartbeat,
+                    [manager = route_->manager, node] {
                       manager->handle_deregister(node);
                     });
 }

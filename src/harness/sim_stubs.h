@@ -5,7 +5,7 @@
 // dead hosts and timeouts come from SimNetwork.
 //
 // Host addressing convention: ClientId/NodeId double as transport HostIds
-// (the Scenario allocates them from one sequence).
+// (the harness allocates them from one sequence).
 #pragma once
 
 #include "manager/central_manager.h"
@@ -76,12 +76,10 @@ class SimNodeStub final : public net::NodeApi {
   WireSizes sizes_;
 };
 
-// Mutable manager address: a stub or link holding a route pointer resolves
-// the manager at each send, so flipping the route re-targets every
-// subsequent rpc — how clients and nodes re-resolve to the warm standby
-// after a failover. A null route falls back to the fixed manager captured
-// at construction (byte-identical to the pre-failover wiring; the sharded
-// runner stays on this path).
+// Mutable manager address, owned by the harness and shared by every stub
+// and link: each send resolves the manager through it, so flipping the
+// route re-targets every subsequent rpc — how clients and nodes re-resolve
+// to the warm standby after a failover.
 struct ManagerRoute {
   HostId host;
   manager::CentralManager* manager{nullptr};
@@ -93,12 +91,12 @@ struct ManagerRoute {
 // callers that leave request.client unset.
 class SimManagerStub final : public net::ManagerApi {
  public:
-  SimManagerStub(net::SimNetwork& network, manager::CentralManager& manager,
-                 HostId manager_host, ClientId default_client_host = {},
-                 StubTimeouts timeouts = {}, WireSizes sizes = {})
+  // The route must outlive the stub (the harness owns both).
+  SimManagerStub(net::SimNetwork& network, const ManagerRoute& route,
+                 ClientId default_client_host = {}, StubTimeouts timeouts = {},
+                 WireSizes sizes = {})
       : network_(&network),
-        manager_(&manager),
-        manager_host_(manager_host),
+        route_(&route),
         default_client_host_(default_client_host),
         timeouts_(timeouts),
         sizes_(sizes) {}
@@ -107,21 +105,9 @@ class SimManagerStub final : public net::ManagerApi {
       const net::DiscoveryRequest& request,
       net::Done<std::optional<net::DiscoveryResponse>> done) override;
 
-  // The route must outlive the stub (the Scenario owns both).
-  void set_route(const ManagerRoute* route) { route_ = route; }
-
  private:
-  [[nodiscard]] manager::CentralManager* mgr() const {
-    return route_ != nullptr ? route_->manager : manager_;
-  }
-  [[nodiscard]] HostId mgr_host() const {
-    return route_ != nullptr ? route_->host : manager_host_;
-  }
-
   net::SimNetwork* network_;
-  manager::CentralManager* manager_;
-  HostId manager_host_;
-  const ManagerRoute* route_{nullptr};
+  const ManagerRoute* route_;
   ClientId default_client_host_;
   StubTimeouts timeouts_;
   WireSizes sizes_;
@@ -129,12 +115,12 @@ class SimManagerStub final : public net::ManagerApi {
 
 class SimManagerLink final : public net::ManagerLink {
  public:
-  SimManagerLink(net::SimNetwork& network, manager::CentralManager& manager,
-                 HostId manager_host, HostId node_host, WireSizes sizes = {},
+  // The route must outlive the link (the harness owns both).
+  SimManagerLink(net::SimNetwork& network, const ManagerRoute& route,
+                 HostId node_host, WireSizes sizes = {},
                  StubTimeouts timeouts = {})
       : network_(&network),
-        manager_(&manager),
-        manager_host_(manager_host),
+        route_(&route),
         node_host_(node_host),
         sizes_(sizes),
         timeouts_(timeouts) {}
@@ -146,21 +132,9 @@ class SimManagerLink final : public net::ManagerLink {
       override;
   void deregister(NodeId node) override;
 
-  // The route must outlive the link (the Scenario owns both).
-  void set_route(const ManagerRoute* route) { route_ = route; }
-
  private:
-  [[nodiscard]] manager::CentralManager* mgr() const {
-    return route_ != nullptr ? route_->manager : manager_;
-  }
-  [[nodiscard]] HostId mgr_host() const {
-    return route_ != nullptr ? route_->host : manager_host_;
-  }
-
   net::SimNetwork* network_;
-  manager::CentralManager* manager_;
-  HostId manager_host_;
-  const ManagerRoute* route_{nullptr};
+  const ManagerRoute* route_;
   HostId node_host_;
   WireSizes sizes_;
   StubTimeouts timeouts_;

@@ -1,7 +1,8 @@
 // eden::check end-to-end: generator determinism, repro round-trips, a
 // clean fuzz sweep, bitwise determinism across ParallelRunner thread
 // counts, the seeded-bug -> shrink -> replay pipeline, the vacuous-run
-// guard, world parity between the two harnesses and the pinned digests.
+// guard, world parity between the two harness configurations and the
+// pinned digests.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -151,7 +152,7 @@ TEST(CheckFuzz, VacuousSpecIsFlagged) {
   EXPECT_EQ(report.violations.front().oracle, "vacuous-run");
 }
 
-// ---- one recipe, two harnesses ----
+// ---- one recipe, both harness configurations ----
 
 // run_spec and the windowless sharded reference build their worlds from
 // the same recipe: the same node and client ids in the same order, and

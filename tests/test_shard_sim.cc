@@ -22,6 +22,7 @@
 #include "harness/sharded_scenario.h"
 #include "harness/window_pool.h"
 #include "net/shard_router.h"
+#include "obs/trace_merge.h"
 #include "sim/simulator.h"
 
 namespace eden {
@@ -302,6 +303,96 @@ TEST(ShardedScenario, WindowlessSingleShardUsesOneGiantWindow) {
   scenario.add_node(spec);
   scenario.run_until(sec(5.0));
   EXPECT_EQ(scenario.shard_stats().windows, 1u);
+}
+
+// ---- harness features at every domain count ----
+
+// A small metro fleet whose nodes and clients start by scheduled events
+// only, so nothing is traced until the simulator runs.
+void build_small_fleet(harness::ShardedScenario& scenario) {
+  for (int i = 0; i < 6; ++i) {
+    harness::NodeSpec spec;
+    spec.position = {44.9778 + 0.15 * (i % 3), -93.2650 + 0.2 * (i / 3)};
+    spec.heartbeat_period = sec(0.8);
+    const std::size_t node = scenario.add_node(spec);
+    scenario.schedule_node_start(node, sec(0.1 * i));
+  }
+  for (int i = 0; i < 8; ++i) {
+    harness::ClientSpot spot;
+    spot.position = {44.95 + 0.05 * i, -93.30 + 0.06 * (i % 4)};
+    client::ClientConfig config;
+    config.probing_period = sec(2.0);
+    config.app.max_fps = 5.0;
+    scenario.add_edge_client(spot, config);
+    scenario.schedule_at_client(scenario.edge_client_count() - 1,
+                                sec(0.5 + 0.25 * i),
+                                [](client::EdgeClient& c) { c.start(); });
+  }
+}
+
+TEST(ShardedScenario, LateObservabilityMatchesTracingFromConstruction) {
+  for (const unsigned shards : {1u, 4u}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    harness::ShardedConfig config;
+    config.base.seed = 11;
+    config.shards = shards;
+    config.force_windows = true;
+
+    harness::ShardedConfig traced_config = config;
+    traced_config.base.trace = true;
+    harness::ShardedScenario traced(traced_config);
+    build_small_fleet(traced);
+    traced.run_until(sec(12.0));
+
+    harness::ShardedScenario late(config);
+    build_small_fleet(late);
+    late.enable_observability();
+    late.run_until(sec(12.0));
+
+    const std::vector<obs::TraceEvent> expected = traced.canonical_trace();
+    ASSERT_FALSE(expected.empty());
+    EXPECT_EQ(obs::events_to_jsonl(late.canonical_trace()),
+              obs::events_to_jsonl(expected));
+    EXPECT_EQ(late.metrics_snapshot().to_json(),
+              traced.metrics_snapshot().to_json());
+    EXPECT_GT(late.fleet_stats().totals.frames_ok, 0u);
+    if (shards > 1) EXPECT_GT(late.shard_stats().cross_shard_messages, 0u);
+  }
+}
+
+TEST(ShardedScenario, StandbyTakesOverAtOneDomain) {
+  harness::ShardedConfig config;
+  config.base.seed = 13;
+  config.base.standby.enabled = true;
+  config.force_windows = true;
+  harness::ShardedScenario scenario(config);
+  ASSERT_TRUE(scenario.standby_enabled());
+  build_small_fleet(scenario);
+  scenario.schedule_manager_crash(sec(4.0), journal::CrashPoint::kBeforeAck,
+                                  sec(0.5));
+  scenario.run_until(sec(6.0));
+  ASSERT_TRUE(scenario.manager_crashed());
+  ASSERT_TRUE(scenario.takeover_done());
+  EXPECT_GT(scenario.recovered_lsn(), 0u);
+  EXPECT_FALSE(scenario.standby_dump().empty());
+  EXPECT_EQ(scenario.standby_dump(), scenario.expected_dump());
+  EXPECT_NE(&scenario.active_manager(), &scenario.central_manager());
+
+  // The fleet keeps streaming through the standby: nodes re-register with
+  // it and clients complete frames after the takeover.
+  const std::uint64_t frames_at_takeover =
+      scenario.fleet_stats().totals.frames_ok;
+  scenario.run_until(sec(16.0));
+  EXPECT_EQ(scenario.active_manager().live_nodes(), scenario.node_count());
+  EXPECT_GT(scenario.fleet_stats().totals.frames_ok, frames_at_takeover);
+}
+
+TEST(ShardedScenario, StandbyRejectsMoreThanOneDomain) {
+  harness::ShardedConfig config;
+  config.base.standby.enabled = true;
+  config.shards = 2;
+  EXPECT_THROW(harness::ShardedScenario scenario(config),
+               std::invalid_argument);
 }
 
 // ---- the witness ----

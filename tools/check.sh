@@ -90,18 +90,20 @@ awk -v ref="$REF_QPS" -v new="$NEW_QPS" 'BEGIN {
 }' || exit 1
 
 # Exact-observables gate: the smoke fleet is deterministic, so its event
-# count, frames, discoveries, the discovery response digest and every shard
-# sweep row's events, frames and cross-shard message count must equal the
-# committed BENCH_scale.json exactly. A change that reorders events or
-# perturbs a sampled delay trips this even when wall-clock looks fine. A
-# deliberate behaviour change re-baselines by re-recording the file
-# (bench_scale --json) in the same commit.
+# count, frames, discoveries, latency p50/p99, the discovery response digest
+# and every shard sweep row's events, frames, latency p50/p99 and
+# cross-shard message count must equal the committed BENCH_scale.json
+# exactly. A change that reorders events or perturbs a sampled delay trips
+# this even when wall-clock looks fine. A deliberate behaviour change
+# re-baselines by re-recording the file (bench_scale --json) in the same
+# commit.
 extract_field() {
   # extract_field FILE OBJECT FIELD: FIELD's value inside "OBJECT": {...}.
   sed -n "/\"$2\"/,/}/p" "$1" | grep -o "\"$3\": \"\?[0-9a-f.]*" |
     head -1 | grep -o '[0-9a-f.]*$'
 }
-for spec in smoke:events smoke:frames_ok smoke:discoveries discovery:digest; do
+for spec in smoke:events smoke:frames_ok smoke:discoveries \
+    smoke:latency_p50_ms smoke:latency_p99_ms discovery:digest; do
   obj="${spec%%:*}"
   field="${spec#*:}"
   REF_V=$(extract_field BENCH_scale.json "$obj" "$field")
@@ -112,12 +114,13 @@ for spec in smoke:events smoke:frames_ok smoke:discoveries discovery:digest; do
   fi
   echo "scale smoke $obj.$field: $NEW_V (exact)"
 done
+SWEEP_FIELDS="shards events frames_ok latency_p50_ms latency_p99_ms cross_shard_messages"
 extract_sweep_rows() {
-  # One "shards events frames_ok cross_shard_messages" line per sweep row.
+  # One line of $SWEEP_FIELDS values per sweep row.
   grep -o '{"shards": [0-9]*,[^]]*' "$1" | while read -r row; do
-    for field in shards events frames_ok cross_shard_messages; do
-      printf '%s ' "$(echo "$row" | grep -o "\"$field\": [0-9]*" |
-        grep -o '[0-9]*$')"
+    for field in $SWEEP_FIELDS; do
+      printf '%s ' "$(echo "$row" | grep -o "\"$field\": [0-9.]*" |
+        grep -o '[0-9.]*$')"
     done
     echo
   done
@@ -132,7 +135,7 @@ if [ -z "$REF_ROWS" ] || [ "$REF_ROWS" != "$NEW_ROWS" ]; then
   echo "$NEW_ROWS" >&2
   exit 1
 fi
-echo "shard sweep rows (shards events frames_ok cross_shard_messages), exact:"
+echo "shard sweep rows ($SWEEP_FIELDS), exact:"
 echo "$NEW_ROWS"
 
 # Delay-sampling gate: ns per SimNetwork::sample_delay over the smoke
@@ -270,5 +273,13 @@ echo "=== [release] flash-crowd smoke (load-feedback phase switching) ==="
 # The curated overload figure at quarter scale: feedback-on must beat
 # feedback-off on burst-window p95 without completing fewer frames.
 build-release/bench/bench_flash_crowd --smoke --assert-improves
+
+echo "=== [release] benchmark selftest (edenbench/selftest.py) ==="
+# The benchmark compiles src/ on its own (edenbench/CMakeLists.txt): build
+# it and run every workload at a tiny size, traced and untraced, so a
+# harness change that breaks its build or a correctness check fails here.
+BENCH_START=$SECONDS
+CARGO_TARGET_DIR=build-bench python3 edenbench/selftest.py
+echo "benchmark selftest: $((SECONDS - BENCH_START)) s"
 
 echo "=== all presets green ==="
