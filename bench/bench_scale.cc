@@ -148,6 +148,9 @@ struct ScaleResult {
   double build_sec{0};
   double run_sec{0};
   double peak_rss_mb{0};
+  // The engine's queue-storage high-water (Simulator::queue_storage_bytes,
+  // which never shrinks).
+  double queue_kb{0};
   std::uint64_t events{0};
   std::uint64_t frames_ok{0};
   std::uint64_t discoveries{0};
@@ -292,6 +295,8 @@ ScaleResult run_scale_scenario(int clients, int nodes, double sim_seconds,
   result.latency_p50_ms = fleet.latency_p50_ms;
   result.latency_p99_ms = fleet.latency_p99_ms;
   result.peak_rss_mb = peak_rss_mb();
+  result.queue_kb =
+      static_cast<double>(scenario->simulator().queue_storage_bytes()) / 1024.0;
   if (network != nullptr) {
     *network = time_sample_delay(*scenario, Rng(config.seed).fork("pairs"));
   }
@@ -398,11 +403,11 @@ void print_shard_sweep(const std::vector<ShardSweepResult>& sweep) {
 
 void print_scale(const ScaleResult& r) {
   Table table({"clients", "nodes", "build (s)", "run (s)", "events", "RSS (MB)",
-               "frames ok", "p50 (ms)", "p99 (ms)"});
+               "queue (KB)", "frames ok", "p50 (ms)", "p99 (ms)"});
   table.add_row({Table::integer(r.clients), Table::integer(r.nodes),
                  Table::num(r.build_sec, 2), Table::num(r.run_sec, 2),
                  Table::integer(static_cast<std::int64_t>(r.events)),
-                 Table::num(r.peak_rss_mb, 1),
+                 Table::num(r.peak_rss_mb, 1), Table::num(r.queue_kb, 1),
                  Table::integer(static_cast<std::int64_t>(r.frames_ok)),
                  Table::num(r.latency_p50_ms, 1), Table::num(r.latency_p99_ms, 1)});
   table.print();
@@ -431,15 +436,16 @@ void write_json(const std::string& path, const DiscoveryResult& disc,
                  "\"wall_sec\": %.3f,\n"
                  "    \"events\": %llu, \"frames_ok\": %llu, "
                  "\"discoveries\": %llu,\n"
-                 "    \"peak_rss_mb\": %.1f, \"latency_p50_ms\": %.1f, "
-                 "\"latency_p99_ms\": %.1f,\n"
+                 "    \"peak_rss_mb\": %.1f, \"queue_kb\": %.1f,\n"
+                 "    \"latency_p50_ms\": %.1f, \"latency_p99_ms\": %.1f,\n"
                  "    \"allocs_per_event\": %.3f}",
                  key, r.clients, r.nodes, r.sim_seconds, r.build_sec, r.run_sec,
                  r.build_sec + r.run_sec,
                  static_cast<unsigned long long>(r.events),
                  static_cast<unsigned long long>(r.frames_ok),
                  static_cast<unsigned long long>(r.discoveries), r.peak_rss_mb,
-                 r.latency_p50_ms, r.latency_p99_ms, r.allocs_per_event);
+                 r.queue_kb, r.latency_p50_ms, r.latency_p99_ms,
+                 r.allocs_per_event);
   };
   scale_json("scale", main_run);
   std::fprintf(f, ",\n");

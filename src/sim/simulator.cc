@@ -35,51 +35,88 @@ bool Simulator::cancel(EventId id) {
   return true;
 }
 
+Simulator::Block* Simulator::link_block(Chain& chain) {
+  if (free_blocks_ == nullptr) {
+    block_chunks_.push_back(
+        std::make_unique_for_overwrite<Block[]>(kChunkBlocks));
+    Block* chunk = block_chunks_.back().get();
+    for (std::size_t i = kChunkBlocks; i > 0; --i) release_block(&chunk[i - 1]);
+  }
+  Block* block = free_blocks_;
+  free_blocks_ = block->next;
+  block->next = nullptr;
+  block->count = 0;
+  splice(chain, Chain{block, block});
+  return block;
+}
+
 void Simulator::lower_min(std::uint64_t t) {
   // Every queued time is >= last_min_ > t. Let H be the highest digit where
   // t and last_min_ differ. Buckets at level >= H stay put: their entries
   // agree with both times above their level and differ from both at it.
   // Bucket 0 and every bucket below H share last_min_'s digit H, so around
   // t they all belong to bucket (H, that digit) — empty until now, since
-  // level-H entries differ from last_min_ at digit H. Stable appends keep
-  // equal times (always co-located in one source bucket) in FIFO order;
-  // tombstones move along and stay counted.
+  // level-H entries differ from last_min_ at digit H. Stable appends and
+  // splices keep equal times (always co-located in one source bucket) in
+  // FIFO order; tombstones move along and stay counted.
   const int high = (63 - std::countl_zero(t ^ last_min_)) / kDigitBits;
   const auto digit = static_cast<int>((last_min_ >> (high * kDigitBits)) &
                                       (kDigits - 1));
-  std::vector<Entry>& target = level_buckets_[high * kDigits + digit];
-  target.insert(target.end(), bucket0_.begin() + bucket0_cursor_,
-                bucket0_.end());
+  last_min_ = t;
+  for (std::size_t i = bucket0_cursor_; i < bucket0_.size(); ++i) {
+    push_entry(bucket0_[i].time, bucket0_[i].seq_slot);
+  }
   bucket0_.clear();
   bucket0_cursor_ = 0;
+  Chain& target = level_buckets_[high * kDigits + digit];
   for (int level = 0; level < high; ++level) {
     for (std::uint64_t dm = digit_mask_[level]; dm != 0; dm &= dm - 1) {
-      std::vector<Entry>& bucket =
-          level_buckets_[level * kDigits + std::countr_zero(dm)];
-      target.insert(target.end(), bucket.begin(), bucket.end());
-      // Free, don't just clear: sharded runs lower thousands of times, and
-      // every emptied bucket would keep its peak capacity (peak RSS).
-      std::vector<Entry>().swap(bucket);
+      Chain& bucket = level_buckets_[level * kDigits + std::countr_zero(dm)];
+      splice(target, bucket);
+      bucket = Chain{};
     }
     digit_mask_[level] = 0;
   }
   level_mask_ &= ~((1u << high) - 1);
-  if (!target.empty()) {
+  if (target.head != nullptr) {
     digit_mask_[high] |= 1ull << digit;
     level_mask_ |= 1u << high;
   }
-  last_min_ = t;
+}
+
+void Simulator::compact(Chain& chain) {
+  // The write cursor never passes the read cursor: every block before the
+  // one being written is full, and no block holds more than a full one.
+  Block* out = chain.head;
+  std::uint32_t kept = 0;
+  for (Block* block = chain.head; block != nullptr; block = block->next) {
+    for (std::uint32_t i = 0; i < block->count; ++i) {
+      if (stale(block->entries[i])) continue;
+      if (kept == kBlockEntries) {
+        out->count = kBlockEntries;
+        out = out->next;
+        kept = 0;
+      }
+      out->entries[kept++] = block->entries[i];
+    }
+  }
+  if (kept == 0) {
+    drain(chain.head, [](const Entry&) {});
+    chain = Chain{};
+    return;
+  }
+  drain(out->next, [](const Entry&) {});
+  out->count = kept;
+  out->next = nullptr;
+  chain.tail = out;
 }
 
 void Simulator::sweep() {
-  auto filter = [&](std::vector<Entry>& bucket, std::size_t begin) {
-    std::size_t kept = 0;
-    for (std::size_t i = begin; i < bucket.size(); ++i) {
-      if (!stale(bucket[i])) bucket[kept++] = bucket[i];
-    }
-    bucket.resize(kept);
-  };
-  filter(bucket0_, bucket0_cursor_);
+  std::size_t kept = 0;
+  for (std::size_t i = bucket0_cursor_; i < bucket0_.size(); ++i) {
+    if (!stale(bucket0_[i])) bucket0_[kept++] = bucket0_[i];
+  }
+  bucket0_.resize(kept);
   bucket0_cursor_ = 0;
   std::uint32_t lm = level_mask_;
   while (lm != 0) {
@@ -89,9 +126,9 @@ void Simulator::sweep() {
     while (dm != 0) {
       const int digit = std::countr_zero(dm);
       dm &= dm - 1;
-      std::vector<Entry>& bucket = level_buckets_[level * kDigits + digit];
-      filter(bucket, 0);
-      if (bucket.empty()) digit_mask_[level] &= ~(1ull << digit);
+      Chain& bucket = level_buckets_[level * kDigits + digit];
+      compact(bucket);
+      if (bucket.head == nullptr) digit_mask_[level] &= ~(1ull << digit);
     }
     if (digit_mask_[level] == 0) level_mask_ &= ~(1u << level);
   }
@@ -102,47 +139,42 @@ bool Simulator::refill_bucket0() {
   if (level_mask_ == 0) return false;
   const int level = std::countr_zero(level_mask_);
   const int digit = std::countr_zero(digit_mask_[level]);
-  std::vector<Entry>& bucket = level_buckets_[level * kDigits + digit];
+  Chain& bucket = level_buckets_[level * kDigits + digit];
+  Block* const head = bucket.head;
+  bucket = Chain{};
   digit_mask_[level] &= digit_mask_[level] - 1;
   if (digit_mask_[level] == 0) level_mask_ &= ~(1u << level);
-  if (bucket.size() == 1) {
-    // Singleton buckets dominate sparse schedules; skip the scan and the
-    // vector swap dance entirely, and start pulling the slot's cache line
-    // while the pop loop comes back around.
-    const Entry e = bucket.front();
-    bucket.clear();
-    last_min_ = e.time;
-    bucket0_.push_back(e);
-    __builtin_prefetch(
-        &slot(static_cast<std::uint32_t>(e.seq_slot) & kSlotMask));
-    return true;
-  }
-  if (level == 0) {
-    // A level-0 bucket differs from last_min_ only in the low digit, so
-    // every entry shares one timestamp: refill is a vector swap, and the
-    // drained bucket inherits bucket 0's old capacity for reuse.
-    last_min_ = bucket.front().time;
-    bucket0_.swap(bucket);
+  if (level == 0 || (head->next == nullptr && head->count == 1)) {
+    // One timestamp: a level-0 bucket differs from last_min_ only in the
+    // low digit, and singletons dominate sparse schedules. Skip the scan,
+    // and start pulling the first slot's cache line while the pop loop
+    // comes back around.
+    last_min_ = head->entries[0].time;
+    __builtin_prefetch(&slot(
+        static_cast<std::uint32_t>(head->entries[0].seq_slot) & kSlotMask));
+    drain(head, [this](const Entry& e) { bucket0_.push_back(e); });
     return true;
   }
   // Pass 1: the minimum (time, then schedule order). Tombstones may define
   // it — harmless: redistribution stays correct and the pop loop discards
   // them; skipping the per-entry slab lookup keeps this a sequential scan.
-  const Entry* best = &bucket.front();
-  for (const Entry& e : bucket) {
-    if (e.time < best->time ||
-        (e.time == best->time && e.seq_slot < best->seq_slot)) {
-      best = &e;
+  const Entry* best = &head->entries[0];
+  for (const Block* block = head; block != nullptr; block = block->next) {
+    for (std::uint32_t i = 0; i < block->count; ++i) {
+      const Entry& e = block->entries[i];
+      if (e.time < best->time ||
+          (e.time == best->time && e.seq_slot < best->seq_slot)) {
+        best = &e;
+      }
     }
   }
   last_min_ = best->time;
   // Pass 2: redistribute around the new minimum. Every entry lands
   // strictly below this level (the digit-`level` disagreement with the old
-  // last_min_ is resolved by the new one); stable appends preserve FIFO
-  // order for equal times. The minimum itself lands in bucket 0.
-  moving_.swap(bucket);
-  for (const Entry& e : moving_) push_entry(e.time, e.seq_slot);
-  moving_.clear();
+  // last_min_ is resolved by the new one), so never into the chain being
+  // walked; stable appends preserve FIFO order for equal times. The
+  // minimum itself lands in bucket 0.
+  drain(head, [this](const Entry& e) { push_entry(e.time, e.seq_slot); });
   return true;
 }
 

@@ -13,13 +13,21 @@
 //    last popped minimum at 6-bit digit L, with value v there; bucket 0
 //    holds exact matches. Scheduling appends to one bucket in O(1);
 //    popping redistributes the lowest non-empty bucket with sequential
-//    16-byte scans — no comparison heap, no pointer chasing, and at most
+//    16-byte scans — no comparison heap, and at most
 //    ceil(log64(time-spread)) ~ 3 moves per entry for realistic horizons.
-//    Level-0 buckets hold a single timestamp each, so their refill is an
-//    O(1) vector swap. FIFO ties hold because equal times always share a
+//    Level-0 buckets hold a single timestamp each, so their refill is one
+//    sequential copy. FIFO ties hold because equal times always share a
 //    bucket and appends are stable. A schedule below the current minimum
 //    (see prepare_slot) lowers it by moving only bucket 0 and the buckets
 //    below the highest differing digit into one bucket; higher levels stay.
+//  * Queue memory is proportional to what is queued. Every bucket but
+//    bucket 0 is a chain of 1 KiB blocks (a next pointer, a count and 63
+//    entries) drawn from one free list per simulator: a refill hands each
+//    block back as it drains it, and lowering splices whole chains in
+//    O(1) — every block carries its own count, so a partial block may sit
+//    mid-chain. The pool grows in 64-block chunks and never shrinks, so
+//    the steady state allocates nothing. Bucket 0 stays a vector: it only
+//    ever holds one timestamp.
 //  * Cancellation tombstones are discarded when popped; a sweep runs once
 //    they outnumber live events, so cancel-heavy Periodic churn cannot
 //    accumulate dead entries (queued_entries() stays O(pending())).
@@ -117,6 +125,14 @@ class Simulator {
   [[nodiscard]] std::size_t queued_entries() const {
     return live_count_ + dead_in_queue_;
   }
+  // Diagnostics: heap bytes held for queue entries — the block pool, bucket
+  // 0 and the delivery heap. None of them ever shrinks, so this is also the
+  // high-water mark.
+  [[nodiscard]] std::size_t queue_storage_bytes() const {
+    return block_chunks_.size() * kChunkBlocks * sizeof(Block) +
+           bucket0_.capacity() * sizeof(Entry) +
+           deliveries_.capacity() * sizeof(DeliveryEntry);
+  }
 
  private:
   // Exactly one cache line: 48B inline callback storage + ops pointer +
@@ -151,6 +167,21 @@ class Simulator {
   static constexpr int kDigitBits = 6;
   static constexpr int kDigits = 1 << kDigitBits;         // 64
   static constexpr int kLevels = (63 + kDigitBits) / kDigitBits;  // 11
+  // A bucket is a chain of blocks from the pool; appends go to the tail.
+  // The header comes first so a short block's count and entries share a
+  // cache line.
+  static constexpr std::uint32_t kBlockEntries = 63;
+  static constexpr std::size_t kChunkBlocks = 64;  // pool growth: 64 KiB
+  struct Block {
+    Block* next;
+    std::uint32_t count;
+    std::array<Entry, kBlockEntries> entries;
+  };
+  static_assert(sizeof(Block) == 1024);
+  struct Chain {
+    Block* head{nullptr};
+    Block* tail{nullptr};
+  };
 
   [[nodiscard]] Slot& slot(std::uint32_t index) {
     return chunks_[index >> kChunkBits][index & (kChunkSize - 1)];
@@ -197,7 +228,12 @@ class Simulator {
     const int level = bit / kDigitBits;
     const auto digit =
         static_cast<int>((time >> (level * kDigitBits)) & (kDigits - 1));
-    level_buckets_[level * kDigits + digit].push_back(Entry{time, seq_slot});
+    Chain& bucket = level_buckets_[level * kDigits + digit];
+    Block* tail = bucket.tail;
+    if (tail == nullptr || tail->count == kBlockEntries) [[unlikely]] {
+      tail = link_block(bucket);
+    }
+    tail->entries[tail->count++] = Entry{time, seq_slot};
     digit_mask_[level] |= 1ull << digit;
     level_mask_ |= 1u << level;
   }
@@ -223,6 +259,29 @@ class Simulator {
     return index;
   }
   void grow_slab();
+  // Append an empty block from the pool to `chain` and return it.
+  Block* link_block(Chain& chain);
+  void release_block(Block* block) {
+    block->next = free_blocks_;
+    free_blocks_ = block;
+  }
+  // Visit every entry from `block` to the end of its chain in order, and
+  // hand each block back to the pool once drained, so a walk that appends
+  // elsewhere reuses the block it just emptied.
+  template <typename Visit>
+  void drain(Block* block, Visit&& visit) {
+    while (block != nullptr) {
+      for (std::uint32_t i = 0; i < block->count; ++i) visit(block->entries[i]);
+      Block* next = block->next;
+      release_block(block);
+      block = next;
+    }
+  }
+  // Append chain `from` to chain `into` in O(1).
+  static void splice(Chain& into, const Chain& from) {
+    (into.tail != nullptr ? into.tail->next : into.head) = from.head;
+    into.tail = from.tail;
+  }
   // Lower last_min_ to `t` < last_min_, moving only the buckets that sit
   // below the highest digit where the two differ (simulator.cc).
   void lower_min(std::uint64_t t);
@@ -231,6 +290,8 @@ class Simulator {
   bool refill_bucket0();
   // Drop every tombstone; called once dead entries outnumber live ones.
   void sweep();
+  // Compact `chain` in place without its tombstones; frees emptied blocks.
+  void compact(Chain& chain);
   bool pop_one(SimTime limit);
 
   // Delivery-lane internals. The heap entry mirrors the regular Entry but
@@ -267,8 +328,9 @@ class Simulator {
   std::array<std::uint64_t, kLevels> digit_mask_{};  // per-level occupancy
   std::size_t bucket0_cursor_{0};
   std::vector<Entry> bucket0_;    // entries with time == last_min_
-  std::array<std::vector<Entry>, kLevels * kDigits> level_buckets_;
-  std::vector<Entry> moving_;     // scratch for redistribution (recycled)
+  std::array<Chain, kLevels * kDigits> level_buckets_{};
+  std::vector<std::unique_ptr<Block[]>> block_chunks_;
+  Block* free_blocks_{nullptr};   // the pool's free list, linked by next
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::uint32_t slot_count_{0};
   std::uint32_t free_head_{kNoFreeSlot};

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <functional>
 #include <random>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -76,6 +77,10 @@ TEST(DeliveryLane, CountsTowardPendingAndNextEventTime) {
 // two-lane pop has already refilled the regular queue). Execution order
 // must still equal a brute-force reference: (time, lane, key | seq), with
 // deliveries (lane 0) before regular events (lane 1) at equal times.
+// Seeds above 20 add buckets that span several 63-entry blocks: equal-tick
+// batches of 200+ regular events, each just past a 4096-tick boundary and
+// followed by tied clusters of 64+ events, with a delivery just below the
+// boundary — so lowering moves the batch and splices the cluster chains.
 TEST(DeliveryLane, LoweringInsideTheLoopKeepsReferenceOrder) {
   struct Pending {
     SimTime at;
@@ -87,12 +92,13 @@ TEST(DeliveryLane, LoweringInsideTheLoopKeepsReferenceOrder) {
       return std::tie(at, lane, hi, lo) < std::tie(o.at, o.lane, o.hi, o.lo);
     }
   };
-  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     sim::Simulator sim;
     std::mt19937_64 rng(seed);
     auto draw = [&rng](std::uint64_t n) { return rng() % n; };
-    std::vector<Pending> reference;
+    std::set<Pending> reference;  // keys are unique: seq / delivery lo
+    std::unordered_map<int, Pending> by_id;
     std::unordered_map<int, sim::EventId> regular_ids;
     std::uint64_t seq = 0;
     std::uint64_t delivery_lo = 0;
@@ -101,16 +107,16 @@ TEST(DeliveryLane, LoweringInsideTheLoopKeepsReferenceOrder) {
     int out_of_order = 0;
     std::function<void(SimTime)> add_regular;
     std::function<void(SimTime)> add_delivery;
+    auto forget = [&](int id) {
+      reference.erase(by_id.at(id));
+      by_id.erase(id);
+      regular_ids.erase(id);
+    };
 
     // Runs inside the engine: the event must be the reference minimum.
     auto fire = [&](int id, bool delivery) {
-      const auto min = std::min_element(reference.begin(), reference.end());
-      if (min == reference.end() || min->id != id) ++out_of_order;
-      reference.erase(std::find_if(reference.begin(), reference.end(),
-                                   [id](const Pending& p) {
-                                     return p.id == id;
-                                   }));
-      regular_ids.erase(id);
+      if (reference.empty() || reference.begin()->id != id) ++out_of_order;
+      forget(id);
       ++executed;
       const SimTime now = sim.now();
       if (delivery) {
@@ -128,25 +134,24 @@ TEST(DeliveryLane, LoweringInsideTheLoopKeepsReferenceOrder) {
           // through every later lowering.
           auto victim = regular_ids.begin();
           std::advance(victim, static_cast<long>(draw(regular_ids.size())));
-          const int victim_id = victim->first;
           EXPECT_TRUE(sim.cancel(victim->second));
-          regular_ids.erase(victim);
-          reference.erase(std::find_if(reference.begin(), reference.end(),
-                                       [victim_id](const Pending& p) {
-                                         return p.id == victim_id;
-                                       }));
+          forget(victim->first);
         }
       }
     };
     add_regular = [&](SimTime at) {
       const int id = next_id++;
-      reference.push_back({at, 1, 0, seq++, id});
+      const Pending p{at, 1, 0, seq++, id};
+      reference.insert(p);
+      by_id.emplace(id, p);
       regular_ids[id] = sim.schedule_at(at, [&fire, id] { fire(id, false); });
     };
     add_delivery = [&](SimTime at) {
       const int id = next_id++;
       const sim::Simulator::DeliveryKey key{draw(4), delivery_lo++};
-      reference.push_back({at, 0, key.hi, key.lo, id});
+      const Pending p{at, 0, key.hi, key.lo, id};
+      reference.insert(p);
+      by_id.emplace(id, p);
       sim.schedule_delivery(at, key, sim::Callback([&fire, id] {
                               fire(id, true);
                             }));
@@ -160,6 +165,19 @@ TEST(DeliveryLane, LoweringInsideTheLoopKeepsReferenceOrder) {
     }
     for (int i = 0; i < 60; ++i) {
       add_delivery(1 + static_cast<SimTime>(draw(50'000)));
+    }
+    if (seed > 20) {
+      for (int batch = 0; batch < 3; ++batch) {
+        const SimTime tick =
+            4096 * static_cast<SimTime>(1 + draw(12)) +
+            static_cast<SimTime>(draw(40));
+        for (std::uint64_t n = 200 + draw(100); n > 0; --n) add_regular(tick);
+        for (SimTime k = 1; k <= 6; ++k) {
+          const SimTime at = tick + 64 * k * static_cast<SimTime>(1 + draw(4));
+          for (std::uint64_t n = 64 + draw(130); n > 0; --n) add_regular(at);
+        }
+        add_delivery(tick - 41 - static_cast<SimTime>(draw(100)));
+      }
     }
     // Run in slices, scheduling into each run_until gap between them.
     SimTime limit = 0;

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -188,6 +190,45 @@ TEST(Simulator, TombstonesDoNotAccumulate) {
   EXPECT_EQ(s.pending(), 100u);
   EXPECT_LE(s.queued_entries(), 300u);
   s.run_all();
+  EXPECT_EQ(s.pending(), 0u);
+}
+
+TEST(Simulator, QueueStorageStaysProportionalToQueuedEntries) {
+  // A rolling 3 s horizon over 120 simulated seconds: every 10 ms, 190
+  // events land uniformly up to 3 s ahead and ~30% of them are cancelled
+  // one step later. The time front sweeps the 64 level-3 radix buckets
+  // (2^18 us each) several times over, so a queue where every bucket kept
+  // its own peak would hold many times the peak queue.
+  Simulator s;
+  std::mt19937_64 rng(19);
+  std::uniform_int_distribution<SimDuration> ahead(0, sec(3));
+  constexpr std::size_t kEntryBytes = 16;
+  constexpr std::size_t kBlockBytes = 1024;
+  constexpr std::size_t kBuckets = 11 * 64;  // levels x digits
+  std::vector<EventId> doomed;
+  std::size_t scheduled = 0;
+  std::size_t cancelled = 0;
+  std::size_t fired = 0;
+  std::size_t peak_entries = 0;
+  for (SimTime t = 0; t < sec(120); t += msec(10)) {
+    for (const EventId id : doomed) cancelled += s.cancel(id) ? 1 : 0;
+    doomed.clear();
+    for (int i = 0; i < 190; ++i) {
+      const EventId id = s.schedule_at(t + ahead(rng), [&fired] { ++fired; });
+      ++scheduled;
+      if (rng() % 10 < 3) doomed.push_back(id);
+    }
+    peak_entries = std::max(peak_entries, s.queued_entries());
+    // Linear in the peak queue, plus one partly filled block per bucket.
+    ASSERT_LE(s.queue_storage_bytes(),
+              2 * kEntryBytes * peak_entries + kBuckets * kBlockBytes)
+        << "at t=" << t << " us, peak queued entries " << peak_entries;
+    s.run_until(t + msec(10));
+  }
+  s.run_all();
+  EXPECT_GT(peak_entries, 15'000u);
+  EXPECT_GT(cancelled * 4, scheduled);  // ~30% cancelled before firing
+  EXPECT_EQ(fired + cancelled, scheduled);
   EXPECT_EQ(s.pending(), 0u);
 }
 

@@ -138,6 +138,24 @@ fi
 echo "shard sweep rows ($SWEEP_FIELDS), exact:"
 echo "$NEW_ROWS"
 
+# Memory gate: the bench process's peak RSS at the end of the smoke run;
+# more than 1.25x the committed value fails. Engine queue storage is a
+# large share of it, so a queue that keeps capacity it no longer uses (or
+# any other retained high-water) trips this before it reaches the fleet.
+REF_RSS=$(extract_field BENCH_scale.json smoke peak_rss_mb)
+NEW_RSS=$(extract_field "$SMOKE_JSON" smoke peak_rss_mb)
+if [ -z "$REF_RSS" ] || [ -z "$NEW_RSS" ]; then
+  echo "scale smoke: missing peak_rss_mb (ref='$REF_RSS' new='$NEW_RSS')" >&2
+  exit 1
+fi
+echo "scale smoke peak_rss_mb: committed=$REF_RSS measured=$NEW_RSS"
+awk -v ref="$REF_RSS" -v new="$NEW_RSS" 'BEGIN {
+  if (new > 1.25 * ref) {
+    printf "scale smoke: peak RSS regression >25%% (%.1f vs %.1f MB)\n", new, ref
+    exit 1
+  }
+}' || exit 1
+
 # Delay-sampling gate: ns per SimNetwork::sample_delay over the smoke
 # fleet's client->node pairs; more than 2x the committed value fails.
 REF_NET=$(extract_field BENCH_scale.json network sample_delay_ns)
