@@ -11,7 +11,7 @@
 // — advanced in conservative-lookahead windows: every domain runs [w0, w1)
 // (half-open) independently, then a single-threaded barrier injects the
 // cross-shard messages buffered by the ShardRouter into their destination
-// domains' delivery lanes. The window length never exceeds the minimum
+// domains' simulators. The window length never exceeds the minimum
 // possible cross-shard one-way delay (lookahead()), so no injected message
 // can land inside a window its destination already executed — the classic
 // conservative parallel-DES contract. One domain without force_windows

@@ -5,7 +5,8 @@
 // fabric appends cross-shard messages to its shard's private outbox (one
 // writer per outbox — no locks); at the barrier the coordinator calls
 // flush(), which injects every buffered envelope into the destination
-// shard's delivery lane under the canonical (arrival, dst, src, seq) key.
+// shard's simulator as a delivery under the canonical (arrival, dst, src,
+// source sequence) key.
 // Conservative lookahead makes this sound: the window length never exceeds
 // the minimum cross-shard one-way delay, so a message sent inside window
 // [w0, w1) arrives at >= w0 + lookahead >= w1 — i.e. never inside a window
@@ -50,11 +51,11 @@ class ShardRouter {
             std::uint64_t key_lo, sim::Callback cb);
 
   // Barrier step (single-threaded, between windows): inject every buffered
-  // envelope into its destination's delivery lane. `window_start` is the
+  // envelope into its destination's simulator. `window_start` is the
   // start of the window about to run; an arrival before it means the
   // lookahead bound was violated (throws std::runtime_error). Returns the
   // number of envelopes injected. Injection order is irrelevant to
-  // execution order — the delivery lane orders by canonical key.
+  // execution order — deliveries are ordered by canonical key.
   std::size_t flush(SimTime window_start);
 
   // True when no envelope is buffered in any outbox.

@@ -157,8 +157,8 @@ SimDuration SimNetwork::sample_delay(HostId from, HostId to, double bytes) {
   double owd_us = static_cast<double>(model_->base_rtt(from, to)) / 2.0;
   // Same draw stream and same float expression as NetworkModel::
   // sample_owd. Deterministic mode swaps the shared Rng stream for a
-  // counter-based draw keyed by (seed, directed pair, message index): the
-  // jitter of a given message is then independent of every other pair's
+  // counter-based draw keyed by (seed, directed pair, source sequence):
+  // the jitter of a given message then depends only on its sender's own
   // traffic — the property that makes sharded executions bit-identical.
   if (jitter_sigma_ > 0) {
     if (!deterministic_) [[likely]] {
@@ -166,7 +166,9 @@ SimDuration SimNetwork::sample_delay(HostId from, HostId to, double bytes) {
     } else {
       const std::uint64_t key =
           (static_cast<std::uint64_t>(to.value) << 32) | from.value;
-      owd_us *= det_jitter_factor(key, peek_pair_seq(key));
+      const std::uint64_t seq =
+          from.value < src_seq_.size() ? src_seq_[from.value] : 0;
+      owd_us *= det_jitter_factor(key, seq);
     }
   }
   SimDuration delay = static_cast<SimDuration>(owd_us) +
@@ -176,50 +178,6 @@ SimDuration SimNetwork::sample_delay(HostId from, HostId to, double bytes) {
     delay = static_cast<SimDuration>(static_cast<double>(delay) * factor);
   }
   return delay;
-}
-
-std::uint64_t SimNetwork::peek_pair_seq(std::uint64_t key) const {
-  if (pair_seq_.empty()) return 0;
-  const std::size_t mask = pair_seq_.size() - 1;
-  std::size_t index = (key * 0x9e3779b97f4a7c15ull >> 32) & mask;
-  while (pair_seq_[index].key != kEmptyPairKey) {
-    if (pair_seq_[index].key == key) return pair_seq_[index].next;
-    index = (index + 1) & mask;
-  }
-  return 0;
-}
-
-std::uint64_t SimNetwork::take_pair_seq(std::uint64_t key) {
-  if (pair_seq_.empty()) pair_seq_.resize(256);
-  std::size_t mask = pair_seq_.size() - 1;
-  std::size_t index = (key * 0x9e3779b97f4a7c15ull >> 32) & mask;
-  while (pair_seq_[index].key != key) {
-    if (pair_seq_[index].key == kEmptyPairKey) {
-      if (pair_seq_used_ * 10 >= pair_seq_.size() * 7) {  // grow + rehash
-        std::vector<PairSeqEntry> old = std::move(pair_seq_);
-        pair_seq_.assign(old.size() * 2, PairSeqEntry{});
-        mask = pair_seq_.size() - 1;
-        for (const PairSeqEntry& entry : old) {
-          if (entry.key == kEmptyPairKey) continue;
-          std::size_t j = (entry.key * 0x9e3779b97f4a7c15ull >> 32) & mask;
-          while (pair_seq_[j].key != kEmptyPairKey) j = (j + 1) & mask;
-          pair_seq_[j] = entry;
-        }
-        index = (key * 0x9e3779b97f4a7c15ull >> 32) & mask;
-        while (pair_seq_[index].key != kEmptyPairKey &&
-               pair_seq_[index].key != key) {
-          index = (index + 1) & mask;
-        }
-        if (pair_seq_[index].key == key) return pair_seq_[index].next++;
-      }
-      pair_seq_[index].key = key;
-      pair_seq_[index].next = 0;
-      ++pair_seq_used_;
-      return pair_seq_[index].next++;
-    }
-    index = (index + 1) & mask;
-  }
-  return pair_seq_[index].next++;
 }
 
 double SimNetwork::det_jitter_factor(std::uint64_t key,

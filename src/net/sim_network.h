@@ -116,17 +116,19 @@ class SimNetwork {
 
   // ---- deterministic (sharded) delivery mode ----
   //
-  // In deterministic mode every cross-host message rides the simulator's
-  // delivery lane under the canonical (arrival, destination, source,
-  // per-pair sequence) key, and the jitter factor comes from a
-  // counter-based hash of (seed, directed pair, message index) instead of
-  // the fabric's shared Rng stream. Both changes make message ordering and
-  // sampled delays a pure function of the message set — independent of
-  // shard layout — which is exactly what the sharded == sequential
-  // determinism witness pins. Every fabric participating in one sharded
-  // world must use the SAME seed (a message's jitter must not depend on
-  // which domain sampled it). Legacy fabrics that never enable this keep
-  // the historical Rng draws and FIFO schedules, byte for byte.
+  // In deterministic mode every cross-host message is a simulator delivery
+  // under the canonical (arrival, destination, source, source sequence)
+  // key, and the jitter factor comes from a counter-based hash of (seed,
+  // directed pair, source sequence) instead of the fabric's shared Rng
+  // stream. The source sequence numbers every message a host sends; each
+  // host's sends run in its own domain in canonical order, so both
+  // changes make message ordering and sampled delays a pure function of
+  // the message set — independent of shard layout — which is exactly what
+  // the sharded == sequential determinism witness pins. Every fabric
+  // participating in one sharded world must use the SAME seed (a
+  // message's jitter must not depend on which domain sampled it). Legacy
+  // fabrics that never enable this keep the historical Rng draws and FIFO
+  // schedules, byte for byte.
   void enable_deterministic_delivery(std::uint64_t seed) {
     deterministic_ = true;
     det_seed_ = seed;
@@ -135,7 +137,7 @@ class SimNetwork {
 
   // Attach this fabric to a shard router as shard `shard_id`: messages
   // addressed to hosts owned by other shards are posted to the router and
-  // injected into the owner's delivery lane at the next window barrier.
+  // injected into the owner's simulator at the next window barrier.
   // Only meaningful in deterministic mode.
   void set_shard_router(ShardRouter* router, std::uint32_t shard_id) {
     router_ = router;
@@ -481,16 +483,17 @@ class SimNetwork {
   }
 
   // Compute the canonical delivery key for a message from -> to, then
-  // either schedule it on the local delivery lane (intra-shard) or post it
-  // to the router for barrier injection (cross-shard). The per-pair
-  // sequence consumed here is the same counter sample_delay peeked for the
-  // jitter draw — the two stay in lockstep because every sampled message
-  // is routed exactly once.
+  // either schedule it as a local delivery (intra-shard) or post it to the
+  // router for barrier injection (cross-shard). The source sequence
+  // consumed here is the same counter sample_delay peeked for the jitter
+  // draw — the two stay in lockstep because every sampled message is
+  // routed exactly once.
   template <typename F>
   void route_canonical(HostId from, HostId to, SimDuration delay, F&& fn) {
     const std::uint64_t hi =
         (static_cast<std::uint64_t>(to.value) << 32) | from.value;
-    const std::uint64_t lo = take_pair_seq(hi);
+    if (from.value >= src_seq_.size()) src_seq_.resize(from.value + 1, 0);
+    const std::uint64_t lo = src_seq_[from.value]++;
     if (delay < 0) delay = 0;
     const SimTime arrival = simulator_->now() + delay;
     if (router_ != nullptr) {
@@ -505,8 +508,6 @@ class SimNetwork {
                                   sim::Callback(std::forward<F>(fn)));
   }
 
-  [[nodiscard]] std::uint64_t peek_pair_seq(std::uint64_t key) const;
-  std::uint64_t take_pair_seq(std::uint64_t key);
   [[nodiscard]] double det_jitter_factor(std::uint64_t key,
                                          std::uint64_t seq) const;
 
@@ -566,16 +567,10 @@ class SimNetwork {
   std::uint64_t det_seed_{0};
   ShardRouter* router_{nullptr};
   std::uint32_t shard_id_{0};
-  // Open-addressed per-directed-pair message counters (deterministic mode
-  // only): jitter for message n is hashed from n, and n is the canonical
-  // delivery-key tiebreak. An all-ones key marks an empty slot.
-  static constexpr std::uint64_t kEmptyPairKey = ~0ull;
-  struct PairSeqEntry {
-    std::uint64_t key{kEmptyPairKey};
-    std::uint64_t next{0};
-  };
-  mutable std::vector<PairSeqEntry> pair_seq_;
-  mutable std::size_t pair_seq_used_{0};
+  // Messages sent so far, by source HostId (deterministic mode only): the
+  // jitter of a host's message n is hashed from n, and n is the canonical
+  // delivery-key tiebreak.
+  std::vector<std::uint64_t> src_seq_;
 
   // Rpc slot pool (chunked so slots never move).
   std::vector<std::unique_ptr<RpcSlot[]>> rpc_chunks_;

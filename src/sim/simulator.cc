@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -68,6 +69,7 @@ void Simulator::lower_min(std::uint64_t t) {
   }
   bucket0_.clear();
   bucket0_cursor_ = 0;
+  bucket0_unordered_ = false;
   Chain& target = level_buckets_[high * kDigits + digit];
   for (int level = 0; level < high; ++level) {
     for (std::uint64_t dm = digit_mask_[level]; dm != 0; dm &= dm - 1) {
@@ -152,7 +154,7 @@ bool Simulator::refill_bucket0() {
     last_min_ = head->entries[0].time;
     __builtin_prefetch(&slot(
         static_cast<std::uint32_t>(head->entries[0].seq_slot) & kSlotMask));
-    drain(head, [this](const Entry& e) { bucket0_.push_back(e); });
+    drain(head, [this](const Entry& e) { push_bucket0(e); });
     return true;
   }
   // Pass 1: the minimum (time, then schedule order). Tombstones may define
@@ -178,6 +180,22 @@ bool Simulator::refill_bucket0() {
   return true;
 }
 
+void Simulator::order_bucket0() {
+  bucket0_unordered_ = false;
+  if (bucket0_.size() - bucket0_cursor_ < 2) return;
+  // A delivery's seq_slot is its bare slot index, below every regular
+  // entry's; regular entries compare by seq, which leads their seq_slot.
+  std::sort(bucket0_.begin() + static_cast<std::ptrdiff_t>(bucket0_cursor_),
+            bucket0_.end(), [this](const Entry& a, const Entry& b) {
+              if (a.seq_slot > kSlotMask || b.seq_slot > kSlotMask) {
+                return a.seq_slot < b.seq_slot;
+              }
+              const DeliveryKey& ka = delivery_keys_[a.seq_slot];
+              const DeliveryKey& kb = delivery_keys_[b.seq_slot];
+              return ka.hi != kb.hi ? ka.hi < kb.hi : ka.lo < kb.lo;
+            });
+}
+
 bool Simulator::pop_one(SimTime limit) {
   for (;;) {
     if (bucket0_cursor_ >= bucket0_.size()) {
@@ -185,6 +203,9 @@ bool Simulator::pop_one(SimTime limit) {
       bucket0_cursor_ = 0;
       if (!refill_bucket0()) return false;
       continue;
+    }
+    if (bucket0_unordered_) [[unlikely]] {
+      order_bucket0();
     }
     const Entry e = bucket0_[bucket0_cursor_];
     if (bucket0_cursor_ + 1 < bucket0_.size()) {
@@ -219,66 +240,26 @@ bool Simulator::pop_one(SimTime limit) {
 
 void Simulator::schedule_delivery(SimTime t, DeliveryKey key, Callback cb) {
   if (!cb) return;
-  if (t < now_) t = now_;
-  const std::uint32_t index = allocate_slot();
-  Slot& s = slot(index);
-  s.generation = static_cast<std::uint32_t>(next_seq_++ & kSeqMask);
-  s.cb = std::move(cb);
-  ++live_count_;
-  deliveries_.push_back(
-      DeliveryEntry{static_cast<std::uint64_t>(t), key.hi, key.lo, index});
-  std::push_heap(deliveries_.begin(), deliveries_.end(), DeliveryAfter{});
-}
-
-SimTime Simulator::peek_event_time() {
-  for (;;) {
-    if (bucket0_cursor_ >= bucket0_.size()) {
-      bucket0_.clear();
-      bucket0_cursor_ = 0;
-      if (!refill_bucket0()) return kNoEventTime;
-      continue;
-    }
-    const Entry e = bucket0_[bucket0_cursor_];
-    if (stale(e)) {  // tombstone: discard exactly like pop_one would
-      ++bucket0_cursor_;
-      --dead_in_queue_;
-      continue;
-    }
-    return static_cast<SimTime>(e.time);
+  // Seq 0 marks the entry as a delivery and is also the slot's generation:
+  // no EventId is handed out, and a stale handle only matches it after the
+  // 2^32-event wrap that regular slots already tolerate.
+  const std::uint32_t index = prepare_slot(t, 0);
+  slot(index).cb = std::move(cb);
+  if (index >= delivery_keys_.size()) {
+    delivery_keys_.resize(chunks_.size() * kChunkSize);
   }
-}
-
-void Simulator::pop_delivery() {
-  std::pop_heap(deliveries_.begin(), deliveries_.end(), DeliveryAfter{});
-  const DeliveryEntry e = deliveries_.back();
-  deliveries_.pop_back();
-  Slot& s = slot(e.slot);
-  --live_count_;
-  now_ = static_cast<SimTime>(e.time);
-  ++processed_;
-  s.cb.invoke_and_reset();
-  release_slot(e.slot);
-}
-
-bool Simulator::pop_next(SimTime limit) {
-  if (deliveries_.empty()) return pop_one(limit);
-  const auto td = static_cast<SimTime>(deliveries_.front().time);
-  const SimTime te = peek_event_time();
-  if (te < td) return pop_one(limit);  // strictly earlier regular event
-  if (td > limit) return false;        // both lanes beyond the limit
-  pop_delivery();                      // deliveries win ties (td <= te)
-  return true;
+  delivery_keys_[index] = key;
 }
 
 void Simulator::run_until(SimTime t) {
-  while (pop_next(t)) {
+  while (pop_one(t)) {
   }
   if (t > now_) now_ = t;
 }
 
 void Simulator::run_all(std::size_t max_events) {
   std::size_t n = 0;
-  while (pop_next(std::numeric_limits<SimTime>::max())) {
+  while (pop_one(std::numeric_limits<SimTime>::max())) {
     if (++n > max_events) {
       throw std::runtime_error("Simulator::run_all: event budget exceeded");
     }

@@ -28,6 +28,10 @@
 //    mid-chain. The pool grows in 64-block chunks and never shrinks, so
 //    the steady state allocates nothing. Bucket 0 stays a vector: it only
 //    ever holds one timestamp.
+//  * Deliveries (schedule_delivery) share this queue. Their entries carry
+//    sequence 0 and their keys sit in a slot-indexed side array; bucket 0
+//    is sorted (deliveries by key, then regular events by sequence) only
+//    when it holds more than one entry and a delivery entered it.
 //  * Cancellation tombstones are discarded when popped; a sweep runs once
 //    they outnumber live events, so cancel-heavy Periodic churn cannot
 //    accumulate dead entries (queued_entries() stays O(pending())).
@@ -37,7 +41,6 @@
 #include <bit>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <vector>
 
@@ -67,13 +70,13 @@ class Simulator {
                 !std::is_same_v<std::decay_t<F>, Callback> &&
                 std::is_invocable_r_v<void, std::decay_t<F>&>>>
   EventId schedule_at(SimTime t, F&& fn) {
-    const std::uint32_t index = prepare_slot(t);
+    const std::uint32_t index = prepare_slot(t, next_seq_++ & kSeqMask);
     slot(index).cb.emplace(std::forward<F>(fn));
     return make_id(index, slot(index).generation);
   }
   EventId schedule_at(SimTime t, Callback cb) {
     if (!cb) return kInvalidEvent;  // slot liveness is callback presence
-    const std::uint32_t index = prepare_slot(t);
+    const std::uint32_t index = prepare_slot(t, next_seq_++ & kSeqMask);
     slot(index).cb = std::move(cb);
     return make_id(index, slot(index).generation);
   }
@@ -88,21 +91,18 @@ class Simulator {
   // cancelled before.
   bool cancel(EventId id);
 
-  // ---- delivery lane (sharded / deterministic-delivery runs) ----
+  // ---- canonical deliveries (sharded / deterministic-delivery runs) ----
   //
-  // Cross-host message deliveries in deterministic mode bypass the FIFO
-  // event queue and ride a separate min-heap ordered by (time, key.hi,
-  // key.lo). SimNetwork builds the key canonically — hi = (destination <<
-  // 32 | source), lo = the per-directed-pair message sequence — so the
-  // relative order of same-tick deliveries is a pure function of the
-  // message set, independent of which shard produced each message or
-  // whether it arrived inline or through a window barrier. At equal
-  // timestamps deliveries run BEFORE regular events (a fixed global rule,
-  // again shard-layout-independent). Deliveries cannot be cancelled; their
-  // callbacks live in the same slot arena as regular events and count
-  // toward pending(). The run loops have one pop path: with the lane empty
-  // it is the single-lane pop, so fabrics that never use the lane keep
-  // their exact event order.
+  // Cross-host message deliveries in deterministic mode are ordered by
+  // (time, key.hi, key.lo) instead of by scheduling order. SimNetwork
+  // builds the key canonically — hi = (destination << 32 | source), lo =
+  // the source's message sequence — so the relative order of same-tick
+  // deliveries is a pure function of the message set, independent of which
+  // shard produced each message or whether it arrived inline or through a
+  // window barrier. At equal timestamps deliveries run BEFORE regular
+  // events (a fixed global rule, again shard-layout-independent).
+  // Deliveries cannot be cancelled; they count toward pending() and
+  // events_processed() like regular events.
   struct DeliveryKey {
     std::uint64_t hi{0};
     std::uint64_t lo{0};
@@ -126,12 +126,12 @@ class Simulator {
     return live_count_ + dead_in_queue_;
   }
   // Diagnostics: heap bytes held for queue entries — the block pool, bucket
-  // 0 and the delivery heap. None of them ever shrinks, so this is also the
+  // 0 and the delivery keys. None of them ever shrinks, so this is also the
   // high-water mark.
   [[nodiscard]] std::size_t queue_storage_bytes() const {
     return block_chunks_.size() * kChunkBlocks * sizeof(Block) +
            bucket0_.capacity() * sizeof(Entry) +
-           deliveries_.capacity() * sizeof(DeliveryEntry);
+           delivery_keys_.capacity() * sizeof(DeliveryKey);
   }
 
  private:
@@ -153,7 +153,9 @@ class Simulator {
   // 16-byte queue entry: event time plus (seq << 24 | slot). seq rides in
   // the high bits so FIFO ties compare with one integer comparison; 24
   // slot bits cap concurrently-pending events at ~16.7M, 40 seq bits cap
-  // one simulator's lifetime at ~1.1e12 events.
+  // one simulator's lifetime at ~1.1e12 events. Regular events count seq
+  // from 1; a delivery's entry carries seq 0 (so seq_slot <= kSlotMask) and
+  // its slot generation 0.
   struct Entry {
     std::uint64_t time;
     std::uint64_t seq_slot;
@@ -217,10 +219,14 @@ class Simulator {
     s.next_free = free_head_;
     free_head_ = index;
   }
+  void push_bucket0(const Entry& e) {
+    bucket0_.push_back(e);
+    if (e.seq_slot <= kSlotMask) bucket0_unordered_ = true;  // a delivery
+  }
   void push_entry(std::uint64_t time, std::uint64_t seq_slot) {
     const std::uint64_t diff = time ^ last_min_;
     if (diff == 0) {
-      bucket0_.push_back(Entry{time, seq_slot});
+      push_bucket0(Entry{time, seq_slot});
       return;
     }
     // Valid event times are positive int64, so bit <= 62 and L < kLevels.
@@ -238,22 +244,20 @@ class Simulator {
     level_mask_ |= 1u << level;
   }
   // Everything schedule_at does except constructing the callable: clamp
-  // the time, allocate + initialize a slot, enqueue its entry.
-  std::uint32_t prepare_slot(SimTime t) {
+  // the time, allocate + initialize a slot, enqueue its entry under `seq`.
+  std::uint32_t prepare_slot(SimTime t, std::uint64_t seq) {
     if (t < now_) t = now_;
     const auto time = static_cast<std::uint64_t>(t);
-    // last_min_ can sit above now(): run_until() advances the clock into
-    // the gap before the next batch, and the two-lane pop peeks (refills)
-    // the regular queue before running an earlier delivery. A schedule
-    // into that gap lowers last_min_ so the radix ordering invariant
+    // last_min_ can sit above now() between runs: run_until() refills
+    // bucket 0 past its limit and then advances the clock into the gap,
+    // and a window barrier injects cross-shard deliveries into that gap.
+    // A schedule there lowers last_min_ so the radix ordering invariant
     // (every queued time >= last_min_) keeps holding.
     if (time < last_min_) [[unlikely]] {
       lower_min(time);
     }
     const std::uint32_t index = allocate_slot();
-    Slot& s = slot(index);
-    const std::uint64_t seq = next_seq_++ & kSeqMask;
-    s.generation = static_cast<std::uint32_t>(seq);
+    slot(index).generation = static_cast<std::uint32_t>(seq);
     ++live_count_;
     push_entry(time, (seq << kSlotBits) | index);
     return index;
@@ -292,31 +296,10 @@ class Simulator {
   void sweep();
   // Compact `chain` in place without its tombstones; frees emptied blocks.
   void compact(Chain& chain);
+  // Sort bucket 0's unpopped entries: deliveries by key, then regular
+  // events by seq.
+  void order_bucket0();
   bool pop_one(SimTime limit);
-
-  // Delivery-lane internals. The heap entry mirrors the regular Entry but
-  // carries the full canonical key; the callback sits in an arena slot.
-  struct DeliveryEntry {
-    std::uint64_t time;
-    std::uint64_t hi;
-    std::uint64_t lo;
-    std::uint32_t slot;
-  };
-  struct DeliveryAfter {  // "greater" comparator => std:: heap is a min-heap
-    bool operator()(const DeliveryEntry& a, const DeliveryEntry& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      if (a.hi != b.hi) return a.hi > b.hi;
-      return a.lo > b.lo;
-    }
-  };
-  // Like pop_one's head inspection but without popping: prunes stale
-  // entries off the regular queue until a live head (or emptiness) is
-  // found, returns its timestamp (kNoEventTime when empty).
-  static constexpr SimTime kNoEventTime = std::numeric_limits<SimTime>::max();
-  [[nodiscard]] SimTime peek_event_time();
-  // Two-lane pop: the earlier lane wins, deliveries win ties.
-  bool pop_next(SimTime limit);
-  void pop_delivery();
 
   SimTime now_{0};
   std::uint64_t next_seq_{1};
@@ -328,13 +311,14 @@ class Simulator {
   std::array<std::uint64_t, kLevels> digit_mask_{};  // per-level occupancy
   std::size_t bucket0_cursor_{0};
   std::vector<Entry> bucket0_;    // entries with time == last_min_
+  bool bucket0_unordered_{false};  // a delivery entered bucket 0 unsorted
   std::array<Chain, kLevels * kDigits> level_buckets_{};
   std::vector<std::unique_ptr<Block[]>> block_chunks_;
   Block* free_blocks_{nullptr};   // the pool's free list, linked by next
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::uint32_t slot_count_{0};
   std::uint32_t free_head_{kNoFreeSlot};
-  std::vector<DeliveryEntry> deliveries_;  // min-heap via DeliveryAfter
+  std::vector<DeliveryKey> delivery_keys_;  // by slot, pending deliveries
 };
 
 // RAII periodic task: fires `fn` every `period` starting at `start` until

@@ -1,7 +1,9 @@
 // Unit tests for network models and the simulated message fabric.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
+#include <vector>
 
 #include "common/rng.h"
 #include "net/host_table.h"
@@ -314,6 +316,39 @@ TEST(SimNetwork, GeoExtraRttTakesEffectMidRun) {
   fabric.deliver(kA, kB, 0, [&] { arrived = simulator.now(); });
   simulator.run_all();
   EXPECT_EQ(arrived - sent, first + msec(15.0));
+}
+
+// Deterministic delivery numbers each message by its source's own
+// sequence and hashes the jitter from (pair, that number): host C's
+// traffic to B leaves the delay of A's n-th message to B unchanged, while
+// A's own messages elsewhere advance A's sequence.
+TEST(SimNetwork, DeterministicJitterFollowsTheSourceSequence) {
+  auto delays_from_a = [](bool c_sends_to_b, bool a_sends_to_c) {
+    sim::Simulator simulator;
+    MatrixNetwork model(20.0, 100.0, 0.2);
+    HostTable hosts;
+    hosts.set_alive(kB, true);
+    hosts.set_alive(kC, true);
+    SimNetwork fabric(simulator, model, hosts, Rng(7));
+    fabric.enable_deterministic_delivery(42);
+    std::vector<SimDuration> delays;
+    for (int n = 0; n < 8; ++n) {
+      const SimTime sent = simulator.now();
+      fabric.deliver(kA, kB, 0, [&delays, &simulator, sent] {
+        delays.push_back(simulator.now() - sent);
+      });
+      if (c_sends_to_b) fabric.deliver(kC, kB, 0, [] {});
+      if (a_sends_to_c) fabric.deliver(kA, kC, 0, [] {});
+      simulator.run_all();
+    }
+    return delays;
+  };
+  const std::vector<SimDuration> alone = delays_from_a(false, false);
+  ASSERT_EQ(alone.size(), 8u);
+  EXPECT_NE(*std::min_element(alone.begin(), alone.end()),
+            *std::max_element(alone.begin(), alone.end()));  // jittered
+  EXPECT_EQ(delays_from_a(true, false), alone);
+  EXPECT_NE(delays_from_a(false, true), alone);
 }
 
 TEST_F(SimNetworkTest, RpcRoundTrip) {

@@ -1,4 +1,4 @@
-// Sharded-simulator tests: the delivery lane's canonical ordering, the
+// Sharded-simulator tests: the canonical ordering of deliveries, the
 // ShardRouter window-barrier contract, the WindowPool fork-join primitive
 // and the resolve_thread_count() contract, conservative lookahead
 // derivation — and the tentpole witness: run_spec_sharded() produces a
@@ -72,15 +72,16 @@ TEST(DeliveryLane, CountsTowardPendingAndNextEventTime) {
   EXPECT_EQ(sim.pending(), 0u);
 }
 
-// Deliveries that schedule regular events below the next queued regular
-// time lower the radix queue's minimum from inside the event loop (the
-// two-lane pop has already refilled the regular queue). Execution order
-// must still equal a brute-force reference: (time, lane, key | seq), with
-// deliveries (lane 0) before regular events (lane 1) at equal times.
-// Seeds above 20 add buckets that span several 63-entry blocks: equal-tick
-// batches of 200+ regular events, each just past a 4096-tick boundary and
-// followed by tied clusters of 64+ events, with a delivery just below the
-// boundary — so lowering moves the batch and splices the cluster chains.
+// Deliveries and regular events share one queue: deliveries schedule
+// regular events just past now, regular events schedule deliveries and
+// cancel each other, and every run_until gap gets a schedule that lowers
+// the radix queue's minimum. Execution order must equal a brute-force
+// reference: (time, lane, key | seq), with deliveries (lane 0) before
+// regular events (lane 1) at equal times. Seeds above 20 add buckets that
+// span several 63-entry blocks: equal-tick batches of 200+ regular events,
+// each just past a 4096-tick boundary and followed by tied clusters of 64+
+// events, with a delivery just below the boundary. (Lowering across such
+// chains is pinned by Simulator.GapScheduleLowersMultiBlockBuckets.)
 TEST(DeliveryLane, LoweringInsideTheLoopKeepsReferenceOrder) {
   struct Pending {
     SimTime at;

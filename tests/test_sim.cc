@@ -195,10 +195,12 @@ TEST(Simulator, TombstonesDoNotAccumulate) {
 
 TEST(Simulator, QueueStorageStaysProportionalToQueuedEntries) {
   // A rolling 3 s horizon over 120 simulated seconds: every 10 ms, 190
-  // events land uniformly up to 3 s ahead and ~30% of them are cancelled
-  // one step later. The time front sweeps the 64 level-3 radix buckets
-  // (2^18 us each) several times over, so a queue where every bucket kept
-  // its own peak would hold many times the peak queue.
+  // events land uniformly up to 3 s ahead. About a third are deliveries
+  // (never cancelled, keyed in the slot-indexed side array); ~30% of the
+  // rest are cancelled one step later. The time front sweeps the 64
+  // level-3 radix buckets (2^18 us each) several times over, so a queue
+  // where every bucket kept its own peak would hold many times the peak
+  // queue.
   Simulator s;
   std::mt19937_64 rng(19);
   std::uniform_int_distribution<SimDuration> ahead(0, sec(3));
@@ -207,6 +209,7 @@ TEST(Simulator, QueueStorageStaysProportionalToQueuedEntries) {
   constexpr std::size_t kBuckets = 11 * 64;  // levels x digits
   std::vector<EventId> doomed;
   std::size_t scheduled = 0;
+  std::size_t deliveries = 0;
   std::size_t cancelled = 0;
   std::size_t fired = 0;
   std::size_t peak_entries = 0;
@@ -214,8 +217,14 @@ TEST(Simulator, QueueStorageStaysProportionalToQueuedEntries) {
     for (const EventId id : doomed) cancelled += s.cancel(id) ? 1 : 0;
     doomed.clear();
     for (int i = 0; i < 190; ++i) {
-      const EventId id = s.schedule_at(t + ahead(rng), [&fired] { ++fired; });
       ++scheduled;
+      if (rng() % 3 == 0) {
+        s.schedule_delivery(t + ahead(rng),
+                            Simulator::DeliveryKey{rng() % 64, deliveries++},
+                            Callback([&fired] { ++fired; }));
+        continue;
+      }
+      const EventId id = s.schedule_at(t + ahead(rng), [&fired] { ++fired; });
       if (rng() % 10 < 3) doomed.push_back(id);
     }
     peak_entries = std::max(peak_entries, s.queued_entries());
@@ -227,7 +236,8 @@ TEST(Simulator, QueueStorageStaysProportionalToQueuedEntries) {
   }
   s.run_all();
   EXPECT_GT(peak_entries, 15'000u);
-  EXPECT_GT(cancelled * 4, scheduled);  // ~30% cancelled before firing
+  EXPECT_GT(deliveries * 4, scheduled);  // ~1/3 of the load
+  EXPECT_GT(cancelled * 4, scheduled - deliveries);  // ~30% of the rest
   EXPECT_EQ(fired + cancelled, scheduled);
   EXPECT_EQ(s.pending(), 0u);
 }
@@ -257,6 +267,50 @@ TEST(Simulator, RescheduleIntoRunUntilGap) {
   s.schedule_at(msec(220), [&] { order.push_back(220); });
   s.run_all();
   EXPECT_EQ(order, (std::vector<int>{100, 220, 250, 300}));
+}
+
+TEST(Simulator, GapScheduleLowersMultiBlockBuckets) {
+  // run_until() refills the next batch past its limit and parks now() in
+  // the gap before it; a schedule into that gap lowers the queue's
+  // minimum. The batch (300 events on one tick just past a 4096-tick
+  // boundary) and the tied clusters behind it span several 63-entry
+  // blocks, and the gap schedule crosses the boundary, so lowering moves
+  // the batch and splices multi-block chains. Order must stay (time,
+  // deliveries by key, then regular events in schedule order).
+  Simulator s;
+  const SimTime tick = 4096 * 5 + 10;
+  std::vector<int> fired;
+  int next_id = 0;
+  auto add_regular = [&](SimTime at) {
+    const int id = next_id++;
+    s.schedule_at(at, [&fired, id] { fired.push_back(id); });
+    return id;
+  };
+  auto add_delivery = [&](SimTime at, std::uint64_t lo) {
+    const int id = next_id++;
+    s.schedule_delivery(at, Simulator::DeliveryKey{0, lo},
+                        Callback([&fired, id] { fired.push_back(id); }));
+    return id;
+  };
+  std::vector<int> batch;
+  std::vector<int> clusters;
+  for (int n = 0; n < 300; ++n) batch.push_back(add_regular(tick));
+  for (SimTime k = 1; k <= 6; ++k) {
+    for (int n = 0; n < 150; ++n) clusters.push_back(add_regular(tick + 64 * k));
+  }
+  s.run_until(tick - 100);
+  ASSERT_EQ(s.events_processed(), 0u);
+  const int gap = add_regular(tick - 50);
+  const int late = add_delivery(tick, 9);
+  const int early = add_delivery(tick, 2);
+  const int tail = add_regular(tick);
+  s.run_all();
+
+  std::vector<int> want{gap, early, late};
+  want.insert(want.end(), batch.begin(), batch.end());
+  want.push_back(tail);
+  want.insert(want.end(), clusters.begin(), clusters.end());
+  EXPECT_EQ(fired, want);
 }
 
 TEST(Periodic, MoveConstructionTransfersOwnership) {

@@ -249,11 +249,11 @@ for t in test_event_loop test_connection test_rpc test_live; do
 done
 
 echo "=== [release] shard witness smoke (eden_check --witness) ==="
-# Fuzzed topologies through the sharded harness at 1 and 4 shards: the
-# canonical trace digest must be bit-identical to the windowless
+# Fuzzed topologies through the sharded harness at 1, 2, 4 and 8 shards:
+# the canonical trace digest must be bit-identical to the windowless
 # sequential reference on every seed.
 build-release/tools/eden_check --witness --seeds 25 --seed-base 1 \
-  --shards 1,4 --jobs "$JOBS" --budget-sec 120
+  --shards 1,2,4,8 --jobs "$JOBS" --budget-sec 120
 
 echo "=== [release] deterministic-simulation smoke (eden_check) ==="
 # Fixed-seed fuzz sweep under a wall-clock budget, preceded by the built-in
