@@ -24,6 +24,7 @@
 #include "client/selection_policy.h"
 #include "common/rng.h"
 #include "geo/geohash.h"
+#include "net/api.h"
 #include "net/host_table.h"
 #include "net/network_model.h"
 #include "net/sim_network.h"
@@ -232,7 +233,9 @@ double time_cancel_churn_ns(int ops) {
 // matrix world (no jitter: this isolates the rpc machinery itself — state
 // bookkeeping, callback storage, timeout schedule/cancel — from the delay
 // model). Replies are immediate so the 400 ms timeout never fires and every
-// rpc completes.
+// rpc completes. Completions are net::Done objects, exactly what the sim
+// stubs hand the fabric, so a Done that spills out of its rpc slot shows
+// up in allocs_per_rpc.
 double time_rpc_async_ns(int rpcs) {
   sim::Simulator simulator;
   net::MatrixNetwork model(20.0, 100.0, /*jitter_sigma=*/0.0);
@@ -246,9 +249,10 @@ double time_rpc_async_ns(int rpcs) {
       network.rpc_async<int>(
           HostId{1}, HostId{2}, 200.0, 200.0, msec(400.0),
           [](auto reply) { reply(42); },
-          [&completed](std::optional<int> response) {
-            completed += response.has_value() ? 1 : 0;
-          });
+          net::Done<std::optional<int>>(
+              [&completed](std::optional<int> response) {
+                completed += response.has_value() ? 1 : 0;
+              }));
       // Keep a bounded number of rpcs in flight, like a probing client.
       if ((i & 63) == 63) simulator.run_all();
     }

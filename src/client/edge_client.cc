@@ -206,10 +206,10 @@ void EdgeClient::probe_candidates(
 
 void EdgeClient::finish_probe_cycle(const std::shared_ptr<ProbeCycle>& cycle,
                                     int retries_left) {
-  const bool had_responses = !cycle->results.empty();
-  std::vector<ProbeResult> sorted =
-      sort_candidates(std::move(cycle->results), config_.policy, config_.qos,
-                      0x517cc1b727220a95ull ^ config_.id.value);
+  std::vector<ProbeResult>& sorted = cycle->results;
+  const bool had_responses = !sorted.empty();
+  sort_candidates_in_place(sorted, config_.policy, config_.qos,
+                           0x517cc1b727220a95ull ^ config_.id.value);
   last_sorted_ = sorted;
   if (sorted.empty()) {
     if (had_responses && config_.qos.strict) {
@@ -254,12 +254,12 @@ void EdgeClient::finish_probe_cycle(const std::shared_ptr<ProbeCycle>& cycle,
       break;
     }
   }
-  attempt_join(std::move(sorted), retries_left);
+  attempt_join(cycle, retries_left);
 }
 
-void EdgeClient::attempt_join(std::vector<ProbeResult> sorted,
+void EdgeClient::attempt_join(std::shared_ptr<ProbeCycle> cycle,
                               int retries_left) {
-  const ProbeResult& best = sorted.front();
+  const ProbeResult& best = cycle->results.front();
   net::NodeApi* api = resolver_(best.node);
   if (api == nullptr) {
     end_cycle();
@@ -269,17 +269,12 @@ void EdgeClient::attempt_join(std::vector<ProbeResult> sorted,
   request.client = config_.id;
   request.seq_num = best.process.seq_num;
   request.rate_fps = rate_.fps();
-  // `best` points into `sorted`; read everything needed from it before the
-  // init-capture below moves the vector out from under it.
   const NodeId node = best.node;
   trace(obs::EventKind::kJoinSend, node, cycle_counter_);
   const SimTime join_sent_at = scheduler_->now();
-  // Init-capture moves the list into the closure (a plain by-value capture
-  // of a const reference would make the member const, degrading the
-  // closure's move into a throwing vector copy that forces the SBO
-  // callable to the heap).
-  api->join(request, [this, sorted = std::move(sorted), retries_left,
+  api->join(request, [this, cycle = std::move(cycle), retries_left,
                       join_sent_at, node](std::optional<net::JoinResponse> jr) {
+    const std::vector<ProbeResult>& sorted = cycle->results;
     if (!running_) return;
     const double join_ms = to_ms(scheduler_->now() - join_sent_at);
     if (jr && jr->accepted) {

@@ -169,8 +169,9 @@ class EdgeClient {
   // cycle can outlive it (they hold the shared_ptr), so a slot is only
   // recycled once its use_count drops back to the pool's own reference —
   // and the pool stays tiny (concurrent cycles + stragglers). Keeping the
-  // slot also keeps its results vector's capacity, so a steady-state probe
-  // cycle allocates nothing.
+  // slot also keeps its results vector's capacity: the results are sorted
+  // in place and the join completion holds the cycle, not a copy of the
+  // list, so a steady-state probe cycle allocates nothing.
   [[nodiscard]] std::shared_ptr<ProbeCycle> acquire_probe_cycle();
 
   void arm_probing_timer();
@@ -179,9 +180,10 @@ class EdgeClient {
                         int retries_left);
   void finish_probe_cycle(const std::shared_ptr<ProbeCycle>& cycle,
                           int retries_left);
-  // Takes the sorted candidate list by value: it is moved into the join
-  // completion's capture, so a join costs no vector copy.
-  void attempt_join(std::vector<ProbeResult> sorted, int retries_left);
+  // Joins the best of the cycle's sorted results. The join completion
+  // captures the cycle (16 bytes), which keeps the sorted list alive for
+  // adopt_backups without copying it.
+  void attempt_join(std::shared_ptr<ProbeCycle> cycle, int retries_left);
   void adopt_backups(const std::vector<ProbeResult>& sorted,
                      std::size_t skip_first);
 

@@ -13,20 +13,18 @@ std::uint64_t mix(std::uint64_t x) {
 }
 }  // namespace
 
-std::vector<ProbeResult> sort_candidates(std::vector<ProbeResult> results,
-                                         LocalPolicy policy,
-                                         const QosFilter& qos,
-                                         std::uint64_t salt) {
+void sort_candidates_in_place(std::vector<ProbeResult>& results,
+                              LocalPolicy policy, const QosFilter& qos,
+                              std::uint64_t salt) {
   if (qos.max_lo_ms > 0) {
-    std::vector<ProbeResult> filtered;
-    filtered.reserve(results.size());
-    for (const auto& r : results) {
-      if (r.lo() <= qos.max_lo_ms) filtered.push_back(r);
-    }
-    if (!filtered.empty()) {
-      results = std::move(filtered);
+    const auto violates = [&qos](const ProbeResult& r) {
+      return !(r.lo() <= qos.max_lo_ms);
+    };
+    if (!std::all_of(results.begin(), results.end(), violates)) {
+      std::erase_if(results, violates);
     } else if (qos.strict) {
-      return {};  // no node can satisfy the QoS requirement
+      results.clear();  // no node can satisfy the QoS requirement
+      return;
     }
   }
 
@@ -41,7 +39,6 @@ std::vector<ProbeResult> sort_candidates(std::vector<ProbeResult> results,
               if (salt == 0) return a.node < b.node;
               return mix(a.node.value ^ salt) < mix(b.node.value ^ salt);
             });
-  return results;
 }
 
 }  // namespace eden::client

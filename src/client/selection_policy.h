@@ -57,9 +57,17 @@ struct QosFilter {
 // With salt = 0, ties break on node id. A non-zero salt (clients pass
 // their own id) breaks ties in a client-specific but deterministic order,
 // so a fleet of clients facing identical probing results does not herd
-// onto the same node.
-[[nodiscard]] std::vector<ProbeResult> sort_candidates(
+// onto the same node. Sorts in place: the client sorts its pooled probe
+// buffer, so a probe cycle allocates nothing.
+void sort_candidates_in_place(std::vector<ProbeResult>& results,
+                              LocalPolicy policy, const QosFilter& qos = {},
+                              std::uint64_t salt = 0);
+
+[[nodiscard]] inline std::vector<ProbeResult> sort_candidates(
     std::vector<ProbeResult> results, LocalPolicy policy,
-    const QosFilter& qos = {}, std::uint64_t salt = 0);
+    const QosFilter& qos = {}, std::uint64_t salt = 0) {
+  sort_candidates_in_place(results, policy, qos, salt);
+  return results;
+}
 
 }  // namespace eden::client

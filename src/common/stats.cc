@@ -41,7 +41,16 @@ double StreamingStats::variance() const {
 
 double StreamingStats::stddev() const { return std::sqrt(variance()); }
 
+namespace {
+// A series' first allocation holds this many points. Every client keeps a
+// per-frame series of each kind, so starting at 16 skips four doubling
+// steps (1, 2, 4, 8) per series; past 16 points capacity is what doubling
+// would give anyway.
+constexpr std::size_t kFirstCapacity = 16;
+}  // namespace
+
 void Samples::add(double x) {
+  if (values_.capacity() == 0) values_.reserve(kFirstCapacity);
   values_.push_back(x);
   sorted_valid_ = false;
 }
@@ -108,7 +117,10 @@ std::vector<std::pair<double, double>> Samples::cdf() const {
   return out;
 }
 
-void TimeSeries::add(SimTime t, double value) { points_.emplace_back(t, value); }
+void TimeSeries::add(SimTime t, double value) {
+  if (points_.capacity() == 0) points_.reserve(kFirstCapacity);
+  points_.emplace_back(t, value);
+}
 
 namespace {
 

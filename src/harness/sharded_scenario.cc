@@ -319,7 +319,10 @@ std::size_t ShardedScenario::add_node(const NodeSpec& spec) {
   node::EdgeNode& node = d.nodes.nodes[local];
   if (d.trace) node.set_observability(d.trace.get());
   node_refs_.push_back(EntityRef{dom, static_cast<std::uint32_t>(local)});
-  node_index_by_id_[node.id()] = node_refs_.size() - 1;
+  if (node_index_by_id_.size() <= host.value) {
+    node_index_by_id_.resize(host.value + 1, kNoNode);
+  }
+  node_index_by_id_[host.value] = node_refs_.size() - 1;
   return node_refs_.size() - 1;
 }
 
@@ -351,9 +354,11 @@ NodeId ShardedScenario::node_id(std::size_t index) const {
 }
 
 std::optional<std::size_t> ShardedScenario::node_index(NodeId id) const {
-  const auto it = node_index_by_id_.find(id);
-  if (it == node_index_by_id_.end()) return std::nullopt;
-  return it->second;
+  if (id.value >= node_index_by_id_.size() ||
+      node_index_by_id_[id.value] == kNoNode) {
+    return std::nullopt;
+  }
+  return node_index_by_id_[id.value];
 }
 
 void ShardedScenario::start_node(std::size_t index) {
@@ -393,21 +398,20 @@ void ShardedScenario::schedule_at_node(std::size_t index, SimTime at,
 }
 
 void ShardedScenario::set_route(NodeId id, bool routed) {
-  if (routed) {
-    unrouted_.erase(id);
-  } else {
-    unrouted_.insert(id);
-  }
+  if (!id.valid()) return;
+  if (unrouted_.size() <= id.value) unrouted_.resize(id.value + 1, 0);
+  unrouted_[id.value] = routed ? 0 : 1;
 }
 
 net::NodeApi* ShardedScenario::node_api_for(std::uint32_t domain, NodeId id) {
-  if (unrouted_.count(id) != 0) return nullptr;
+  if (id.value < unrouted_.size() && unrouted_[id.value] != 0) return nullptr;
   Domain& d = domains_[domain];
-  const auto cached = d.stub_cache.find(id);
-  if (cached != d.stub_cache.end()) return cached->second;
-  const auto it = node_index_by_id_.find(id);
-  if (it == node_index_by_id_.end()) return nullptr;
-  const EntityRef ref = node_refs_[it->second];
+  if (id.value < d.stub_cache.size() && d.stub_cache[id.value] != nullptr) {
+    return d.stub_cache[id.value];
+  }
+  const std::optional<std::size_t> index = node_index(id);
+  if (!index) return nullptr;
+  const EntityRef ref = node_refs_[*index];
   net::NodeApi* api;
   if (ref.domain == domain) {
     api = &d.nodes.stubs[ref.index];
@@ -422,7 +426,8 @@ net::NodeApi* ShardedScenario::node_api_for(std::uint32_t domain, NodeId id) {
                                 config_.base.wire_sizes);
     api = &d.remote_stubs.back();
   }
-  d.stub_cache[id] = api;
+  if (d.stub_cache.size() <= id.value) d.stub_cache.resize(id.value + 1);
+  d.stub_cache[id.value] = api;
   return api;
 }
 

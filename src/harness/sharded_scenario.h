@@ -48,8 +48,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "baselines/latency_model.h"
@@ -332,7 +330,8 @@ class ShardedScenario {
     // Per-domain stubs for nodes owned elsewhere (lazy; the rpc rides this
     // domain's fabric, the server closure ships to the owner's domain).
     std::deque<SimNodeStub> remote_stubs;
-    std::unordered_map<NodeId, net::NodeApi*> stub_cache;
+    // Resolved endpoints by NodeId::value (null = not resolved yet).
+    std::vector<net::NodeApi*> stub_cache;
     std::uint64_t stalled_windows{0};
   };
 
@@ -409,8 +408,12 @@ class ShardedScenario {
   std::vector<std::uint32_t> host_domain_;  // indexed by host id
   std::vector<EntityRef> node_refs_;        // global node index → (domain, i)
   std::vector<EntityRef> client_refs_;
-  std::unordered_map<NodeId, std::size_t> node_index_by_id_;
-  std::unordered_set<NodeId> unrouted_;
+  // Dense by NodeId::value — node ids are host ids, which add_host hands
+  // out from one sequence — so every send resolves its node without
+  // hashing.
+  static constexpr std::size_t kNoNode = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> node_index_by_id_;  // kNoNode for non-nodes
+  std::vector<std::uint8_t> unrouted_;         // set_route(id, false)
   std::unique_ptr<WindowPool> pool_;
   SimTime cursor_{0};
   std::uint64_t windows_{0};

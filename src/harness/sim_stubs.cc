@@ -7,13 +7,27 @@ namespace eden::harness {
 // wrapper std::function on the request path. Wire sizes and timeouts are
 // the only policy the stubs contribute.
 
+namespace {
+
+// Passes a stub's completion through unchanged. A completion that does not
+// fit the rpc slot inline would allocate on every call, so it is a compile
+// error here rather than a silent regression of allocs/event.
+template <typename Resp, typename Done>
+Done&& slot_done(Done&& done) {
+  static_assert(net::SimNetwork::done_stores_inline<Resp, std::decay_t<Done>>(),
+                "rpc completion spills out of its SimNetwork slot");
+  return std::forward<Done>(done);
+}
+
+}  // namespace
+
 void SimNodeStub::rtt_probe(ClientId from, net::Done<bool> done) {
   network_->rpc<bool>(
       from, node_host_, sizes_.probe_request, sizes_.probe_request,
       timeouts_.probe, [] { return true; },
-      [done = std::move(done)](std::optional<bool> ok) mutable {
+      slot_done<bool>([done = std::move(done)](std::optional<bool> ok) mutable {
         done(ok.has_value());
-      });
+      }));
 }
 
 void SimNodeStub::process_probe(
@@ -22,7 +36,7 @@ void SimNodeStub::process_probe(
       from, node_host_, sizes_.probe_request, sizes_.probe_response,
       timeouts_.probe,
       [node = node_, from] { return node->handle_process_probe(from); },
-      std::move(done));
+      slot_done<net::ProcessProbeResponse>(std::move(done)));
 }
 
 void SimNodeStub::join(const net::JoinRequest& request,
@@ -31,7 +45,7 @@ void SimNodeStub::join(const net::JoinRequest& request,
       request.client, node_host_, sizes_.join_request, sizes_.join_response,
       timeouts_.join,
       [node = node_, request] { return node->handle_join(request); },
-      std::move(done));
+      slot_done<net::JoinResponse>(std::move(done)));
 }
 
 void SimNodeStub::unexpected_join(const net::JoinRequest& request,
@@ -40,9 +54,9 @@ void SimNodeStub::unexpected_join(const net::JoinRequest& request,
       request.client, node_host_, sizes_.join_request, sizes_.join_response,
       timeouts_.join,
       [node = node_, request] { return node->handle_unexpected_join(request); },
-      [done = std::move(done)](std::optional<bool> ok) mutable {
+      slot_done<bool>([done = std::move(done)](std::optional<bool> ok) mutable {
         done(ok.value_or(false));
-      });
+      }));
 }
 
 void SimNodeStub::leave(ClientId client) {
@@ -65,7 +79,7 @@ void SimNodeStub::offload(const net::FrameRequest& request,
         node->handle_offload(net::FrameRequest{client, frame_id, 0.0, cost},
                              std::move(reply));
       },
-      std::move(done));
+      slot_done<net::FrameResponse>(std::move(done)));
 }
 
 void SimManagerStub::discover(
@@ -81,7 +95,7 @@ void SimManagerStub::discover(
       [manager = route_->manager, request] {
         return manager->handle_discover(request);
       },
-      std::move(done));
+      slot_done<net::DiscoveryResponse>(std::move(done)));
 }
 
 void SimManagerLink::register_node(const net::NodeStatus& status) {
@@ -107,7 +121,7 @@ void SimManagerLink::heartbeat_feedback(
       [manager = route_->manager, status] {
         return manager->handle_heartbeat(status);
       },
-      std::move(done));
+      slot_done<net::HeartbeatAck>(std::move(done)));
 }
 
 void SimManagerLink::deregister(NodeId node) {

@@ -10,7 +10,7 @@
 //
 // Completion callbacks are sim::Func — a move-only SBO callable — rather
 // than std::function: every per-frame and per-probe completion the client
-// passes down fits the 48-byte inline buffer, and move-only captures let
+// passes down fits the 56-byte inline buffer, and move-only captures let
 // one completion carry another inline instead of through shared_ptr.
 #pragma once
 

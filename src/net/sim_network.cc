@@ -107,24 +107,11 @@ std::size_t FaultInjector::slow_window_count() const {
   return n;
 }
 
-SimNetwork::~SimNetwork() {
-  for (auto& chunk : rpc_chunks_) {
-    for (std::uint32_t i = 0; i < kRpcSlotsPerChunk; ++i) {
-      RpcSlot& slot = chunk[i];
-      if (slot.invoke_done != nullptr) {
-        slot.invoke_done(slot.done_buf, abandon_token());
-        slot.invoke_done = nullptr;
-      }
-    }
-  }
-}
-
 void SimNetwork::grow_rpc_pool() {
   const auto base =
       static_cast<std::uint32_t>(rpc_chunks_.size()) * kRpcSlotsPerChunk;
   auto chunk = std::make_unique<RpcSlot[]>(kRpcSlotsPerChunk);
   for (std::uint32_t i = 0; i < kRpcSlotsPerChunk; ++i) {
-    chunk[i].invoke_done = nullptr;
     chunk[i].generation = 0;
     chunk[i].next_free =
         i + 1 < kRpcSlotsPerChunk ? base + i + 1 : kNoFreeSlot;
@@ -135,14 +122,13 @@ void SimNetwork::grow_rpc_pool() {
 
 void SimNetwork::rpc_timeout(std::uint64_t handle) {
   RpcSlot* slot = lookup_rpc(handle);
-  if (slot == nullptr || slot->done_fired) return;
-  slot->done_fired = true;
+  if (slot == nullptr || !slot->done) return;
   slot->timeout_event = sim::kInvalidEvent;
   // A timeout is local bookkeeping at the caller, not a network arrival,
   // so it fires even if the caller host has since died (matching the
   // historical shared_ptr implementation). Invoke before any release so a
   // re-entrant rpc issued from the callback cannot reuse this buffer.
-  slot->invoke_done(slot->done_buf, nullptr);
+  slot->done.invoke_and_reset(nullptr);
   if (slot->request_consumed) release_rpc_slot(handle_index(handle));
 }
 
@@ -150,7 +136,7 @@ void SimNetwork::consume_request(std::uint64_t handle) {
   RpcSlot* slot = lookup_rpc(handle);
   if (slot == nullptr) return;
   slot->request_consumed = true;
-  if (slot->done_fired) release_rpc_slot(handle_index(handle));
+  if (!slot->done) release_rpc_slot(handle_index(handle));
 }
 
 SimDuration SimNetwork::sample_delay(HostId from, HostId to, double bytes) {

@@ -6,10 +6,10 @@
 //
 // Messaging hot path (see DESIGN.md §8): pending rpc state lives in a
 // generation-stamped slab pool inside SimNetwork — no shared_ptr, no
-// std::function. Each slot stores the completion callback in a small
-// inline buffer, the route of the pending exchange, and two lifecycle
-// flags; timeout-vs-response races resolve through the `done_fired` flag
-// and stale handles fail a generation check exactly like the simulator's
+// std::function. Each slot stores the completion inline, the route of the
+// pending exchange, and whether the request leg has settled;
+// timeout-vs-response races resolve on the completion's emptiness and
+// stale handles fail a generation check exactly like the simulator's
 // event arena. A delay sample asks the network model for the pair's base
 // RTT and transfer delay afresh, so model mutations (MatrixNetwork::
 // set_rtt_ms, GeoNetwork::set_extra_rtt_ms, ...) apply to the next send.
@@ -101,10 +101,6 @@ class SimNetwork {
         // Every NetworkModel fixes its jitter sigma at construction, so it
         // is safe to hoist out of the per-sample path.
         jitter_sigma_(model.jitter_sigma()) {}
-
-  // Pending completions own user callbacks; destroy them without invoking
-  // (simulated hosts with rpcs in flight simply vanish at teardown).
-  ~SimNetwork();
 
   SimNetwork(const SimNetwork&) = delete;
   SimNetwork& operator=(const SimNetwork&) = delete;
@@ -227,12 +223,11 @@ class SimNetwork {
                  Done done) {
     const std::uint32_t index = acquire_rpc_slot();
     RpcSlot& slot = rpc_slot(index);
-    store_done<Resp>(slot, std::move(done));
+    slot.done.emplace(DoneAdaptor<Resp, std::decay_t<Done>>{std::move(done)});
     slot.timeout_event = sim::kInvalidEvent;
     slot.response_bytes = response_bytes;
     slot.rpc_from = from;
     slot.rpc_to = to;
-    slot.done_fired = false;
     slot.request_consumed = false;
     const std::uint64_t handle = make_handle(index, slot.generation);
     // Timeout first, request leg second: when both land on the same tick
@@ -283,40 +278,53 @@ class SimNetwork {
     return rpc_chunks_.size() * kRpcSlotsPerChunk;
   }
 
+  // Inline capacity of a pending rpc's completion: a net::Done<R> (a
+  // sim::Func<std::optional<R>>) moves in whole, so the capacity is its
+  // size (the rule is spelled out in sim/callback.h).
+  static constexpr std::size_t kDoneCapacity = sizeof(sim::Func<>);
+
+  // Whether `rpc<Resp>`/`rpc_async<Resp>` store a completion of type Done
+  // inline; the sim stubs static_assert it for every call they make.
+  template <typename Resp, typename Done>
+  [[nodiscard]] static constexpr bool done_stores_inline() {
+    return DoneFunc::stores_inline<DoneAdaptor<Resp, Done>>();
+  }
+
  private:
-  // One pooled pending rpc. The completion callback is stored inline when
-  // it fits (sim::Func<std::optional<Resp>> is 56 bytes — exactly
-  // kDoneCapacity); `invoke_done` is the type-erased dispatcher and doubles
-  // as the slot-occupancy marker. The slot is released when both the
-  // completion has fired (response or timeout) and the request leg has
+  // Adapts a completion taking std::optional<Resp> to the slot's type-
+  // erased argument: a pointer to the std::optional<Resp> response, or
+  // nullptr for a timeout (invoked with nullopt).
+  template <typename Resp, typename Done>
+  struct DoneAdaptor {
+    Done done;
+    void operator()(void* response) {
+      if (response == nullptr) {
+        done(std::nullopt);
+      } else {
+        done(std::move(*static_cast<std::optional<Resp>*>(response)));
+      }
+    }
+  };
+  using DoneFunc = sim::BasicFunc<kDoneCapacity, void* /*response*/>;
+
+  // One pooled pending rpc. The completion is non-empty until it fires
+  // (response or timeout); teardown destroys it without invoking. The slot
+  // is released when both the completion has fired and the request leg has
   // settled (arrived, or provably never will) — holding the slot until the
   // request leg lands is what lets a late-arriving request still read its
   // route after the timeout already fired.
   struct RpcSlot {
-    static constexpr std::size_t kDoneCapacity = 56;
-
-    alignas(std::max_align_t) unsigned char done_buf[kDoneCapacity];
-    // Second argument: pointer to a std::optional<Resp> (response),
-    // nullptr (timeout -> invoke with nullopt), or abandon_token()
-    // (destroy without invoking — network teardown). Always destroys the
-    // stored callback.
-    void (*invoke_done)(unsigned char* buf, void* response);
+    DoneFunc done;
     sim::EventId timeout_event;
     double response_bytes;
     HostId rpc_from, rpc_to;
     std::uint32_t generation;
     std::uint32_t next_free;
-    bool done_fired;
     bool request_consumed;
   };
 
   static constexpr std::uint32_t kRpcSlotsPerChunk = 256;
   static constexpr std::uint32_t kNoFreeSlot = 0xffffffffu;
-
-  static void* abandon_token() noexcept {
-    static unsigned char token;
-    return &token;
-  }
 
   static std::uint64_t make_handle(std::uint32_t index,
                                    std::uint32_t generation) {
@@ -331,13 +339,13 @@ class SimNetwork {
   }
 
   // Generation-checked handle resolution; nullptr = stale (slot released
-  // or reused since the handle was minted).
+  // or reused since the handle was minted — release bumps the generation,
+  // so a matching generation means the slot still holds this rpc).
   [[nodiscard]] RpcSlot* lookup_rpc(std::uint64_t handle) {
     const std::uint32_t index = handle_index(handle);
     if (index >= rpc_chunks_.size() * kRpcSlotsPerChunk) return nullptr;
     RpcSlot& slot = rpc_slot(index);
-    if (slot.generation != static_cast<std::uint32_t>(handle >> 32) ||
-        slot.invoke_done == nullptr) {
+    if (slot.generation != static_cast<std::uint32_t>(handle >> 32)) {
       return nullptr;
     }
     return &slot;
@@ -353,7 +361,6 @@ class SimNetwork {
 
   void release_rpc_slot(std::uint32_t index) {
     RpcSlot& slot = rpc_slot(index);
-    slot.invoke_done = nullptr;
     ++slot.generation;  // invalidate outstanding handles
     slot.next_free = rpc_free_head_;
     rpc_free_head_ = index;
@@ -361,43 +368,6 @@ class SimNetwork {
   }
 
   void grow_rpc_pool();
-
-  template <typename Done, typename Resp, bool Inline>
-  static void done_thunk(unsigned char* buf, void* response) {
-    Done* done;
-    if constexpr (Inline) {
-      done = reinterpret_cast<Done*>(buf);
-    } else {
-      done = *reinterpret_cast<Done**>(buf);
-    }
-    if (response != abandon_token()) {
-      if (response == nullptr) {
-        (*done)(std::nullopt);
-      } else {
-        (*done)(std::move(*static_cast<std::optional<Resp>*>(response)));
-      }
-    }
-    if constexpr (Inline) {
-      done->~Done();
-    } else {
-      delete done;
-    }
-  }
-
-  template <typename Resp, typename Done>
-  static void store_done(RpcSlot& slot, Done done) {
-    using Fn = std::decay_t<Done>;
-    if constexpr (sizeof(Fn) <= RpcSlot::kDoneCapacity &&
-                  alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
-      ::new (static_cast<void*>(slot.done_buf)) Fn(std::move(done));
-      slot.invoke_done = &done_thunk<Fn, Resp, true>;
-    } else {
-      *reinterpret_cast<Fn**>(slot.done_buf) = new Fn(std::move(done));
-      slot.invoke_done = &done_thunk<Fn, Resp, false>;
-      sim::detail::callback_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
 
   // ---- event-arena callables (all sized for inline storage) ----
 
@@ -544,12 +514,11 @@ class SimNetwork {
     RpcSlot* slot = lookup_rpc(handle);
     if (slot == nullptr) return;  // stale: rpc settled and slot reused
     if (!hosts_->alive(slot->rpc_from)) return;  // caller died in flight
-    if (slot->done_fired) return;  // timeout won the race; response dropped
-    slot->done_fired = true;
+    if (!slot->done) return;  // timeout won the race; response dropped
     simulator_->cancel(slot->timeout_event);
     slot->timeout_event = sim::kInvalidEvent;
     std::optional<Resp> value(std::move(response));
-    slot->invoke_done(slot->done_buf, &value);
+    slot->done.invoke_and_reset(&value);
     // Re-resolve nothing: chunk storage is stable, `slot` stays valid even
     // if the completion callback issued new rpcs.
     if (slot->request_consumed) release_rpc_slot(handle_index(handle));

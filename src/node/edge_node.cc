@@ -99,10 +99,30 @@ void EdgeNode::trace_event(obs::EventKind kind, HostId subject,
 std::vector<ClientId> EdgeNode::attached_ids() const {
   std::vector<ClientId> out;
   out.reserve(attached_.size());
-  for (const auto& [client, info] : attached_) out.push_back(client);
-  std::sort(out.begin(), out.end(),
-            [](ClientId a, ClientId b) { return a.value < b.value; });
+  for (const AttachedUser& user : attached_) out.push_back(user.client);
   return out;
+}
+
+std::vector<EdgeNode::AttachedUser>::iterator EdgeNode::user_position(
+    ClientId client) {
+  return std::lower_bound(
+      attached_.begin(), attached_.end(), client,
+      [](const AttachedUser& u, ClientId c) { return u.client < c; });
+}
+
+EdgeNode::AttachedUser* EdgeNode::find_user(ClientId client) {
+  const auto it = user_position(client);
+  return it != attached_.end() && it->client == client ? &*it : nullptr;
+}
+
+void EdgeNode::attach_user(ClientId client, double rate_fps) {
+  const auto it = user_position(client);
+  const AttachedUser user{client, rate_fps, scheduler_->now()};
+  if (it != attached_.end() && it->client == client) {
+    *it = user;
+  } else {
+    attached_.insert(it, user);
+  }
 }
 
 double EdgeNode::current_ms() const {
@@ -113,8 +133,8 @@ double EdgeNode::current_ms() const {
 
 net::ProcessProbeResponse EdgeNode::handle_process_probe(ClientId from) {
   ++stats_.probes_received;
-  if (const auto it = attached_.find(from); it != attached_.end()) {
-    it->second.last_seen = scheduler_->now();
+  if (AttachedUser* user = find_user(from)) {
+    user->last_seen = scheduler_->now();
   }
   net::ProcessProbeResponse resp;
   resp.whatif_ms = whatif_ms_;
@@ -134,7 +154,7 @@ net::JoinResponse EdgeNode::handle_join(const net::JoinRequest& request) {
     return {false, seq_num_};
   }
   trace_event(obs::EventKind::kNodeJoinAccept, request.client, seq_num_);
-  attached_[request.client] = UserInfo{request.rate_fps, scheduler_->now()};
+  attach_user(request.client, request.rate_fps);
   ++stats_.joins_accepted;
   bump_state(config_.test_workload_delay);
   return {true, seq_num_};
@@ -145,14 +165,16 @@ bool EdgeNode::handle_unexpected_join(const net::JoinRequest& request) {
   // Failover joins cannot be rejected (Table I): a client that just lost
   // its node must not be stranded.
   trace_event(obs::EventKind::kNodeUnexpectedJoin, request.client, seq_num_);
-  attached_[request.client] = UserInfo{request.rate_fps, scheduler_->now()};
+  attach_user(request.client, request.rate_fps);
   ++stats_.unexpected_joins;
   bump_state(config_.test_workload_delay);
   return true;
 }
 
 void EdgeNode::handle_leave(ClientId client) {
-  if (attached_.erase(client) == 0) return;
+  const auto it = user_position(client);
+  if (it == attached_.end() || it->client != client) return;
+  attached_.erase(it);
   trace_event(obs::EventKind::kNodeLeave, client);
   ++stats_.leaves;
   bump_state(0);
@@ -161,8 +183,8 @@ void EdgeNode::handle_leave(ClientId client) {
 void EdgeNode::handle_offload(const net::FrameRequest& request,
                               net::Done<net::FrameResponse> done) {
   if (!running_) return;
-  if (const auto it = attached_.find(request.client); it != attached_.end()) {
-    it->second.last_seen = scheduler_->now();
+  if (AttachedUser* user = find_user(request.client)) {
+    user->last_seen = scheduler_->now();
   }
   executor_.submit(request.cost, [this, frame_id = request.frame_id,
                                   client = request.client,
@@ -254,17 +276,17 @@ void EdgeNode::invoke_test_workload(SimDuration delay) {
 }
 
 void EdgeNode::evict_idle_users() {
-  bool evicted = false;
-  for (auto it = attached_.begin(); it != attached_.end();) {
-    if (scheduler_->now() - it->second.last_seen > config_.user_idle_ttl) {
-      trace_event(obs::EventKind::kNodeEvict, it->first);
-      it = attached_.erase(it);
+  std::size_t kept = 0;
+  for (const AttachedUser& user : attached_) {
+    if (scheduler_->now() - user.last_seen > config_.user_idle_ttl) {
+      trace_event(obs::EventKind::kNodeEvict, user.client);
       ++stats_.evictions;
-      evicted = true;
     } else {
-      ++it;
+      attached_[kept++] = user;
     }
   }
+  const bool evicted = kept < attached_.size();
+  attached_.resize(kept);
   // An eviction is a workload decrease — same critical section as Leave().
   if (evicted) bump_state(0);
 }

@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.h"
@@ -150,12 +149,25 @@ class EdgeNode {
   net::ManagerLink* manager_;
   Executor executor_;
 
-  struct UserInfo {
+  // One attached user. The table is a vector sorted by client id and
+  // searched by bisection: a node serves tens of users, and every offload
+  // and process probe looks its sender up, so a flat array beats a hash
+  // table's cache misses. Iteration (evictions, attached_ids) runs in
+  // ascending client id.
+  struct AttachedUser {
+    ClientId client;
     double rate_fps{0};
     SimTime last_seen{0};
   };
+  // First entry not below `client` (its entry when attached).
+  [[nodiscard]] std::vector<AttachedUser>::iterator user_position(
+      ClientId client);
+  // The entry for `client`, or nullptr when it is not attached.
+  [[nodiscard]] AttachedUser* find_user(ClientId client);
+  // Inserts `client`, or refreshes its entry when already attached.
+  void attach_user(ClientId client, double rate_fps);
   void evict_idle_users();
-  std::unordered_map<ClientId, UserInfo> attached_;
+  std::vector<AttachedUser> attached_;
 
   // Sliding window of recent frame processing times feeding the p95 the
   // heartbeat telemetry reports. Fixed ring: no allocation, and 32 frames

@@ -58,9 +58,9 @@ class Executor {
   // Capacity 96 because the offload completion nests a whole
   // net::Done<FrameResponse> (a 64-byte object: 56-byte inline buffer +
   // ops pointer) next to the node pointer, frame id and client id (88
-  // bytes, padded to 96 by the Done's 16-byte alignment) — move-only SBO
-  // keeps that chain of callbacks allocation-free end to end, once per
-  // frame on every node.
+  // bytes, plus a word of headroom; see callback.h for the capacity rule)
+  // — move-only SBO keeps that chain of callbacks allocation-free end to
+  // end, once per frame on every node.
   using Completion = sim::BasicFunc<96, double /*proc_ms*/>;
 
   // Sentinel passed to a shed job's completion; any negative proc_ms means

@@ -34,8 +34,8 @@ class RpcClient final : private FrameSink {
  public:
   // Capacity 80: the live proxies capture a protocol completion
   // (net::Done, a 64-byte SBO object) plus up to one owner pointer inside
-  // the response callback (72 bytes, padded to 80 by the Done's 16-byte
-  // alignment); 64 would spill the discovery wrapper on every call.
+  // the response callback (72 bytes, plus a word of headroom); 64 would
+  // spill the discovery wrapper on every call.
   using ResponseCallback = sim::BasicFunc<80, RpcResult>;
 
   RpcClient(EventLoop& loop, ConnectionPool& pool, std::string endpoint);

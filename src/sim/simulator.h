@@ -150,6 +150,7 @@ class Simulator {
     std::uint32_t generation;
     std::uint32_t next_free;
   };
+  static_assert(sizeof(Slot) == 64);
   // 16-byte queue entry: event time plus (seq << 24 | slot). seq rides in
   // the high bits so FIFO ties compare with one integer comparison; 24
   // slot bits cap concurrently-pending events at ~16.7M, 40 seq bits cap

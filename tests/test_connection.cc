@@ -201,7 +201,9 @@ TEST_F(ConnectionTest, ByteAtATimeDeliveryReassembles) {
     ASSERT_EQ(::send(fds[1], &frame[i], 1, 0), 1);
     loop_.run_for(msec(1));
     // Short reads at every boundary must never produce a partial frame.
-    if (i + 1 < frame.size()) EXPECT_TRUE(sink.frames.empty());
+    if (i + 1 < frame.size()) {
+      EXPECT_TRUE(sink.frames.empty());
+    }
   }
   ASSERT_TRUE(run_until([&] { return !sink.frames.empty(); }));
   ASSERT_EQ(sink.frames.size(), 1u);

@@ -7,6 +7,7 @@
 
 #include <vector>
 
+#include "obs/trace.h"
 #include "sim/clock.h"
 #include "sim/simulator.h"
 
@@ -180,6 +181,87 @@ TEST_F(EdgeNodeTest, LeaveOfUnknownClientIgnored) {
   node.handle_leave(ClientId{42});
   EXPECT_EQ(node.seq_num(), seq);
   EXPECT_EQ(node.stats().leaves, 0u);
+
+  // Also when the unknown id falls between or past attached ones.
+  ASSERT_TRUE(node.handle_unexpected_join(net::JoinRequest{ClientId{1}, 0, 20.0}));
+  ASSERT_TRUE(node.handle_unexpected_join(net::JoinRequest{ClientId{3}, 0, 20.0}));
+  const auto seq_attached = node.seq_num();
+  node.handle_leave(ClientId{2});
+  node.handle_leave(ClientId{9});
+  EXPECT_EQ(node.attached_ids(),
+            (std::vector<ClientId>{ClientId{1}, ClientId{3}}));
+  EXPECT_EQ(node.seq_num(), seq_attached);
+  EXPECT_EQ(node.stats().leaves, 0u);
+}
+
+// ---- attached-user table ----
+
+TEST_F(EdgeNodeTest, AttachedIdsAreSortedWhateverTheJoinOrder) {
+  EdgeNode node(scheduler_, make_config(), &manager_);
+  node.start();
+  for (const std::uint32_t id : {30u, 10u, 40u, 20u}) {
+    ASSERT_TRUE(node.handle_unexpected_join(
+        net::JoinRequest{ClientId{id}, 0, 20.0}));
+  }
+  EXPECT_EQ(node.attached_ids(),
+            (std::vector<ClientId>{ClientId{10}, ClientId{20}, ClientId{30},
+                                   ClientId{40}}));
+}
+
+TEST_F(EdgeNodeTest, JoinLeaveRejoinKeepsOneEntry) {
+  EdgeNode node(scheduler_, make_config(), &manager_);
+  node.start();
+  simulator_.run_until(sec(0.5));
+  const ClientId client{5};
+  ASSERT_TRUE(node.handle_join(
+      net::JoinRequest{client, node.handle_process_probe().seq_num, 20.0})
+                  .accepted);
+  node.handle_leave(client);
+  EXPECT_EQ(node.attached_users(), 0);
+  ASSERT_TRUE(node.handle_join(
+      net::JoinRequest{client, node.handle_process_probe().seq_num, 20.0})
+                  .accepted);
+  // A failover join of an already attached client refreshes its entry.
+  ASSERT_TRUE(node.handle_unexpected_join(net::JoinRequest{client, 0, 20.0}));
+  EXPECT_EQ(node.attached_users(), 1);
+  EXPECT_EQ(node.attached_ids(), std::vector<ClientId>{client});
+}
+
+TEST_F(EdgeNodeTest, IdleUsersAreEvictedInAscendingClientIdAtOneHeartbeat) {
+  auto config = make_config();
+  config.heartbeat_period = sec(1.0);
+  config.user_idle_ttl = sec(2.0);
+  EdgeNode node(scheduler_, config, &manager_);
+  obs::TraceRecorder trace;
+  node.set_observability(&trace);
+  node.start();
+  simulator_.run_until(sec(0.5));
+  for (const std::uint32_t id : {9u, 3u, 7u, 1u, 5u}) {
+    ASSERT_TRUE(node.handle_unexpected_join(
+        net::JoinRequest{ClientId{id}, 0, 20.0}));
+  }
+  // Client 5 keeps probing; the other four go silent together.
+  for (int i = 1; i <= 4; ++i) {
+    simulator_.run_until(sec(0.5 + 0.5 * i));
+    (void)node.handle_process_probe(ClientId{5});
+  }
+  const auto seq_before = node.seq_num();
+  simulator_.run_until(sec(3.5));  // the heartbeat at 3 s evicts
+
+  std::vector<ClientId> evicted;
+  SimTime evicted_at = -1;
+  for (const obs::TraceEvent& event : trace.events()) {
+    if (event.kind != obs::EventKind::kNodeEvict) continue;
+    evicted.push_back(event.subject);
+    if (evicted_at < 0) evicted_at = event.at;
+    EXPECT_EQ(event.at, evicted_at);  // all at one heartbeat
+  }
+  EXPECT_EQ(evicted, (std::vector<ClientId>{ClientId{1}, ClientId{3},
+                                            ClientId{7}, ClientId{9}}));
+  EXPECT_EQ(node.stats().evictions, 4u);
+  EXPECT_EQ(node.attached_ids(), std::vector<ClientId>{ClientId{5}});
+  // One workload decrease for the whole batch.
+  EXPECT_EQ(node.seq_num(), seq_before + 1);
 }
 
 TEST_F(EdgeNodeTest, OffloadProcessesFrameAndRecordsStats) {

@@ -278,18 +278,18 @@ TEST_F(ManagerClockTest, DiscoveryShedsOnlyWhenWholeCellIsHot) {
 
   // One of two volunteers hot: no shed.
   manager.handle_heartbeat(loaded_status(1, 5.0));
-  manager.handle_discover(req);
+  EXPECT_FALSE(manager.handle_discover(req).candidates.empty());
   EXPECT_EQ(manager.stats().cell_sheds, 0u);
 
   // Both volunteers hot (the cloud node is the shed target, not a source):
   // discovery flips into shed mode.
   manager.handle_heartbeat(loaded_status(2, 5.0));
-  manager.handle_discover(req);
+  EXPECT_FALSE(manager.handle_discover(req).candidates.empty());
   EXPECT_EQ(manager.stats().cell_sheds, 1u);
 
   // One volunteer recovers: shed mode ends.
   manager.handle_heartbeat(loaded_status(1, 0.0));
-  manager.handle_discover(req);
+  EXPECT_FALSE(manager.handle_discover(req).candidates.empty());
   EXPECT_EQ(manager.stats().cell_sheds, 1u);
 }
 

@@ -6,6 +6,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <optional>
 #include <vector>
@@ -14,9 +15,12 @@
 #include "common/rng.h"
 #include "harness/experiments.h"
 #include "harness/parallel_runner.h"
+#include "harness/sim_stubs.h"
 #include "net/host_table.h"
 #include "net/network_model.h"
 #include "net/sim_network.h"
+#include "node/edge_node.h"
+#include "sim/clock.h"
 #include "sim/simulator.h"
 
 namespace eden::net {
@@ -338,6 +342,112 @@ std::uint64_t fig08_digest(std::uint64_t seed) {
     mix_series(digest, client->latency_series(), client->stats());
   }
   return digest;
+}
+
+// ---- completions fit their rpc slot ----
+//
+// Every stub call hands the fabric a net::Done; one that spills out of the
+// rpc slot would heap-allocate on every frame and probe. These drive the
+// calls in steady state and count SBO spills (any capacity).
+
+node::EdgeNodeConfig stub_node_config(NodeId id) {
+  node::EdgeNodeConfig config;
+  config.id = id;
+  config.geohash = "9zvxvf";
+  config.executor.cores = 2;
+  config.executor.base_frame_ms = 10.0;
+  return config;
+}
+
+TEST(StubCompletions, SteadyStateStubCallsDoNotSpill) {
+  sim::Simulator simulator;
+  sim::SimScheduler scheduler(simulator);
+  MatrixNetwork model(20.0, 100.0, 0.0);
+  HostTable hosts;
+  hosts.set_alive(kA, true);
+  hosts.set_alive(kB, true);
+  SimNetwork fabric(simulator, model, hosts, Rng(7));
+  node::EdgeNode node(scheduler, stub_node_config(kB));
+  node.start();
+  harness::SimNodeStub stub(fabric, node, kB);
+  simulator.run_until(sec(0.5));
+
+  int completed = 0;
+  std::uint64_t frame_id = 0;
+  const auto round_trip = [&] {
+    stub.rtt_probe(kA, [&](bool ok) { completed += ok ? 1 : 0; });
+    stub.process_probe(kA, [&](std::optional<ProcessProbeResponse> r) {
+      completed += r ? 1 : 0;
+    });
+    stub.join(JoinRequest{kA, node.seq_num(), 20.0},
+              [&](std::optional<JoinResponse> r) { completed += r ? 1 : 0; });
+    stub.unexpected_join(JoinRequest{kA, 0, 20.0},
+                         [&](bool ok) { completed += ok ? 1 : 0; });
+    stub.offload(FrameRequest{kA, ++frame_id, 20'000, 1.0},
+                 [&](std::optional<FrameResponse> r) {
+                   completed += r ? 1 : 0;
+                 });
+    simulator.run_until(simulator.now() + sec(1.0));
+  };
+  round_trip();  // warm-up: grows the event arena and the rpc pool
+  const std::uint64_t spills = sim::Callback::heap_allocations();
+  round_trip();
+  EXPECT_EQ(sim::Callback::heap_allocations() - spills, 0u);
+  EXPECT_EQ(completed, 10);
+}
+
+// Answers discovery inline with a fixed candidate list, so the measured
+// window holds only the client's probe cycle over the sim stubs.
+class FixedManager final : public ManagerApi {
+ public:
+  void discover(const DiscoveryRequest& /*request*/,
+                Done<std::optional<DiscoveryResponse>> done) override {
+    done(response);
+  }
+  DiscoveryResponse response;
+};
+
+TEST(StubCompletions, SteadyStateProbeCycleDoesNotSpill) {
+  sim::Simulator simulator;
+  sim::SimScheduler scheduler(simulator);
+  MatrixNetwork model(20.0, 100.0, 0.0);
+  HostTable hosts;
+  const HostId kNodes[] = {HostId{2}, HostId{3}};
+  hosts.set_alive(kA, true);
+  SimNetwork fabric(simulator, model, hosts, Rng(7));
+  std::deque<node::EdgeNode> nodes;
+  std::deque<harness::SimNodeStub> stubs;
+  FixedManager manager;
+  for (const HostId id : kNodes) {
+    hosts.set_alive(id, true);
+    nodes.emplace_back(scheduler, stub_node_config(id));
+    nodes.back().start();
+    stubs.emplace_back(fabric, nodes.back(), id);
+    manager.response.candidates.push_back(CandidateInfo{id, "9zvxvf"});
+  }
+  client::ClientConfig config;
+  config.id = kA;
+  config.probing_period = sec(1.0);
+  client::EdgeClient client(
+      scheduler, manager,
+      [&stubs](NodeId id) -> NodeApi* {
+        for (harness::SimNodeStub& stub : stubs) {
+          if (stub.id() == id) return &stub;
+        }
+        return nullptr;
+      },
+      config);
+  client.start();
+  simulator.run_until(sec(5.0));  // warm-up: joined, pools and buffers grown
+  ASSERT_TRUE(client.current_node().has_value());
+
+  const std::uint64_t spills = sim::Callback::heap_allocations();
+  const std::uint64_t probes = client.stats().probes_sent;
+  client.trigger_probing_cycle();
+  simulator.run_until(sec(7.0));
+  EXPECT_EQ(sim::Callback::heap_allocations() - spills, 0u);
+  EXPECT_GT(client.stats().probes_sent, probes);
+  EXPECT_GT(client.stats().frames_ok, 0u);
 }
 
 TEST(FigureTraceDeterminism, Fig04AndFig08BitIdenticalAcrossThreadCounts) {

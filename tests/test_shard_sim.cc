@@ -375,8 +375,42 @@ TEST(ShardedScenario, LateObservabilityMatchesTracingFromConstruction) {
     EXPECT_EQ(late.metrics_snapshot().to_json(),
               traced.metrics_snapshot().to_json());
     EXPECT_GT(late.fleet_stats().totals.frames_ok, 0u);
-    if (shards > 1) EXPECT_GT(late.shard_stats().cross_shard_messages, 0u);
+    if (shards > 1) {
+      EXPECT_GT(late.shard_stats().cross_shard_messages, 0u);
+    }
   }
+}
+
+// Exposes the per-domain endpoint lookup every client send goes through.
+struct RoutedScenario : harness::ShardedScenario {
+  using ShardedScenario::node_api_for;
+  using ShardedScenario::ShardedScenario;
+};
+
+TEST(ShardedScenario, SetRouteCutsAndRestoresANodeInEveryDomain) {
+  harness::ShardedConfig config;
+  config.base.seed = 5;
+  config.shards = 4;
+  RoutedScenario scenario(config);
+  build_small_fleet(scenario);
+  const NodeId cut = scenario.node_id(0);
+  const NodeId other = scenario.node_id(1);
+  // Resolve first, so the per-domain endpoints are already cached.
+  for (std::uint32_t d = 0; d < config.shards; ++d) {
+    ASSERT_NE(scenario.node_api_for(d, cut), nullptr);
+  }
+  scenario.set_route(cut, false);
+  for (std::uint32_t d = 0; d < config.shards; ++d) {
+    EXPECT_EQ(scenario.node_api_for(d, cut), nullptr) << "domain " << d;
+    EXPECT_NE(scenario.node_api_for(d, other), nullptr) << "domain " << d;
+  }
+  scenario.set_route(cut, true);
+  for (std::uint32_t d = 0; d < config.shards; ++d) {
+    net::NodeApi* api = scenario.node_api_for(d, cut);
+    ASSERT_NE(api, nullptr) << "domain " << d;
+    EXPECT_EQ(api->id(), cut);
+  }
+  EXPECT_EQ(scenario.node_api_for(0, NodeId{}), nullptr);
 }
 
 TEST(ShardedScenario, StandbyTakesOverAtOneDomain) {

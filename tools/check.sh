@@ -1,13 +1,20 @@
 #!/usr/bin/env bash
-# One-entry-point check: configure + build the release and asan presets and
-# run the full ctest suite on both. This is what CI runs; locally it is the
-# strictest pre-commit gate (the tier-1 tree in build/ is a subset).
+# One-entry-point check: build the -Werror ci preset, then configure + build
+# the release and asan presets and run the full ctest suite on both. This is
+# what CI runs; locally it is the strictest pre-commit gate (the tier-1 tree
+# in build/ is a subset).
 #
 # Usage: tools/check.sh [jobs]      (default: 2 parallel compile jobs)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 JOBS="${1:-2}"
+
+echo "=== [ci] configure + build (-Werror, tests included) ==="
+# The tier-1 tree with warnings as errors: a warning in src/, bench/,
+# tools/ or tests/ fails here before anything runs.
+cmake --preset ci
+cmake --build --preset ci -j "$JOBS"
 
 for preset in release asan; do
   echo "=== [$preset] configure ==="
