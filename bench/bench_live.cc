@@ -7,7 +7,10 @@
 //
 //   1. Discovery storm — a join-storm of volunteer nodes registers with
 //      the manager while pipelined raw RpcClients hammer kDiscover.
-//      Reported as discovery qps under registration load.
+//      Reported as discovery qps under registration load, with the pump
+//      pool's sendmsg calls per completed query (writes_per_op: 1.0 when
+//      every request is its own write, below 1 when the follow-up calls a
+//      read dispatch issues leave together).
 //
 //   2. Live elasticity (fig 5 shape) — one congested node serves the whole
 //      fleet, then volunteers join mid-run; p50/p99 before vs after
@@ -123,6 +126,7 @@ struct StormResult {
   std::uint64_t failed{0};
   double qps{0};
   double allocs_per_op{0};  // manager select + rpc round-trip, both sides
+  double writes_per_op{0};  // pump-side sendmsg calls per completed query
 };
 
 // One self-refiring pipelined discovery call. Lives in a deque (stable
@@ -199,10 +203,12 @@ StormResult run_discovery_storm(int storm_nodes, int connections,
   }
 
   const std::uint64_t a0 = bench::allocation_count();
+  const std::uint64_t w0 = pool.writes();
   const double t0 = wall_now();
   while (wall_now() - t0 < seconds) loop.run_for(msec(10.0));
   const double elapsed = wall_now() - t0;
   const std::uint64_t a1 = bench::allocation_count();
+  const std::uint64_t w1 = pool.writes();
   for (auto& pump : pumps) pump.stop = true;
   loop.run_for(msec(50.0));  // drain in-flight tails
 
@@ -211,9 +217,10 @@ StormResult run_discovery_storm(int storm_nodes, int connections,
     result.failed += pump.failed;
   }
   result.qps = static_cast<double>(result.completed) / elapsed;
-  result.allocs_per_op = static_cast<double>(a1 - a0) /
-                         static_cast<double>(std::max<std::uint64_t>(
-                             1, result.completed));
+  const double ops =
+      static_cast<double>(std::max<std::uint64_t>(1, result.completed));
+  result.allocs_per_op = static_cast<double>(a1 - a0) / ops;
+  result.writes_per_op = static_cast<double>(w1 - w0) / ops;
 
   for (auto& node : nodes) node->stop(true);
   manager.stop();
@@ -498,11 +505,11 @@ void write_json(const std::string& path, const StormResult& storm,
                "  \"discovery_storm\": {\"storm_nodes\": %d, \"inflight\": %d, "
                "\"seconds\": %.2f,\n"
                "    \"completed\": %llu, \"failed\": %llu, \"qps\": %.1f, "
-               "\"allocs_per_op\": %.3f},\n",
+               "\"allocs_per_op\": %.3f, \"writes_per_op\": %.3f},\n",
                storm.storm_nodes, storm.inflight, storm.seconds,
                static_cast<unsigned long long>(storm.completed),
                static_cast<unsigned long long>(storm.failed), storm.qps,
-               storm.allocs_per_op);
+               storm.allocs_per_op, storm.writes_per_op);
   std::fprintf(f,
                "  \"elasticity\": {\"clients\": %d, "
                "\"single_node_p50_ms\": %.2f, \"single_node_p99_ms\": %.2f,\n"
@@ -534,9 +541,10 @@ void write_json(const std::string& path, const StormResult& storm,
   std::fprintf(f,
                "  \"smoke\": {\"allocs_per_frame\": %.3f, "
                "\"leaked_pool_slots\": %zu, \"within_tolerance\": %s, "
-               "\"discovery_qps\": %.1f}\n",
+               "\"discovery_qps\": %.1f, \"writes_per_op\": %.3f}\n",
                churn.allocs_per_frame, churn.leaked_pool_slots,
-               parity.within_tolerance ? "true" : "false", storm.qps);
+               parity.within_tolerance ? "true" : "false", storm.qps,
+               storm.writes_per_op);
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("\njson -> %s\n", path.c_str());
@@ -578,12 +586,13 @@ int main(int argc, char** argv) {
       run_discovery_storm(storm_nodes, /*connections=*/3,
                           /*per_connection=*/8, storm_sec);
   Table storm_table({"storm nodes", "inflight", "completed", "failed", "qps",
-                     "allocs/op"});
+                     "allocs/op", "writes/op"});
   storm_table.add_row(
       {Table::integer(storm.storm_nodes), Table::integer(storm.inflight),
        Table::integer(static_cast<std::int64_t>(storm.completed)),
        Table::integer(static_cast<std::int64_t>(storm.failed)),
-       Table::num(storm.qps, 0), Table::num(storm.allocs_per_op, 3)});
+       Table::num(storm.qps, 0), Table::num(storm.allocs_per_op, 3),
+       Table::num(storm.writes_per_op, 3)});
   storm_table.print();
 
   print_section("live elasticity (fig 5 shape over sockets)");

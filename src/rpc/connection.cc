@@ -131,6 +131,7 @@ void ConnectionPool::do_close(std::uint32_t idx, bool notify) {
   c.in.clear();
   c.in_head = 0;
   c.want_write = false;
+  c.dirty = false;  // its stale dirty_ entry is skipped
   FrameSink* sink = c.sink;
   c.sink = nullptr;
   const ConnHandle handle = handle_of(idx);
@@ -194,11 +195,17 @@ bool ConnectionPool::send_frame(ConnHandle conn, std::uint64_t request_id,
   append_out(*c, header, sizeof(header));
   if (payload_size > 0) append_out(*c, payload, payload_size);
   const std::uint32_t idx = static_cast<std::uint32_t>(conn & 0xffffffffu) - 1;
-  if (!c->want_write) {
-    // EPOLLOUT is not armed, so nothing else will flush this — try now.
-    if (!flush(idx)) return false;
+  if (c->want_write) return true;  // EPOLLOUT readiness flushes it
+  if (dispatching_ > 0) {
+    // Inside a read dispatch: flush_dirty() sends once on the way out.
+    if (!c->dirty) {
+      c->dirty = true;
+      dirty_.push_back(idx);
+    }
+    return true;
   }
-  return conns_[idx].fd >= 0;
+  // EPOLLOUT is not armed, so nothing else will flush this — try now.
+  return flush(idx);
 }
 
 void ConnectionPool::sync_write_interest(Conn& c) {
@@ -226,6 +233,7 @@ bool ConnectionPool::flush(std::uint32_t idx) {
     msghdr msg{};
     msg.msg_iov = iov;
     msg.msg_iovlen = static_cast<std::size_t>(iovcnt);
+    ++writes_;
     const ssize_t n = ::sendmsg(c.fd, &msg, MSG_NOSIGNAL);
     if (n > 0) {
       std::size_t remaining = static_cast<std::size_t>(n);
@@ -270,10 +278,23 @@ void ConnectionPool::on_io_event(std::uint64_t tag, bool readable,
   Conn* c = resolve(tag);
   if (c == nullptr) return;
   const std::uint32_t idx = static_cast<std::uint32_t>(tag & 0xffffffffu) - 1;
-  if (writable) {
-    if (!flush(idx)) return;
+  if (writable && !flush(idx)) return;
+  if (!readable) return;
+  ++dispatching_;
+  handle_readable(idx);
+  if (--dispatching_ == 0) flush_dirty();
+}
+
+void ConnectionPool::flush_dirty() {
+  // Sends made while a failed flush notifies its sink go out inline
+  // (dispatching_ is 0 here), so the list does not grow under the loop.
+  for (std::size_t i = 0; i < dirty_.size(); ++i) {
+    Conn& c = conns_[dirty_[i]];
+    if (!c.dirty) continue;  // closed, maybe re-adopted, since it was marked
+    c.dirty = false;
+    flush(dirty_[i]);
   }
-  if (readable && conns_[idx].fd >= 0) handle_readable(idx);
+  dirty_.clear();
 }
 
 void ConnectionPool::handle_readable(std::uint32_t idx) {

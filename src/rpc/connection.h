@@ -10,11 +10,16 @@
 // becomes a silent no-op instead of a race.
 //
 // Outbound frames are serialized into BufferPool chunks shared by every
-// connection on the loop and flushed with a single sendmsg (writev-style
-// iovec batch) per readiness, with partial-write resumption. The outbox is
-// bounded: a peer that stops reading while frames keep queueing is
-// disconnected instead of growing without bound. EPOLLOUT interest is
-// armed only while the outbox is non-empty.
+// connection on the loop and flushed as one sendmsg (writev-style iovec
+// batch) with partial-write resumption. A frame sent from inside the
+// pool's read dispatch (a FrameSink::on_frame or on_conn_closed callback)
+// only joins its connection's outbox; before the dispatch returns, every
+// connection written to is flushed once, so the replies to N pipelined
+// requests read together leave in one sendmsg and never wait across an
+// epoll_wait. Sends from anywhere else (timers, posted work) flush inline.
+// The outbox is bounded: a peer that stops reading while frames keep
+// queueing is disconnected instead of growing without bound. EPOLLOUT
+// interest is armed only while the outbox is non-empty.
 #pragma once
 
 #include <cstdint>
@@ -61,9 +66,11 @@ class ConnectionPool final : private EventLoop::IoSink {
   // (localhost). Returns 0 on immediate failure.
   ConnHandle connect(const std::string& endpoint, FrameSink* sink);
 
-  // Serialize one frame into the outbox and flush opportunistically.
-  // Returns false if the handle is dead or the send overflowed the outbox
-  // bound (which closes the connection and notifies the sink).
+  // Serialize one frame into the outbox and flush it now, or at the end
+  // of the read dispatch this call runs inside. Returns false if the
+  // handle is dead or the send overflowed the outbox bound (which closes
+  // the connection and notifies the sink); a write error found by the
+  // deferred flush closes and notifies the same way.
   bool send_frame(ConnHandle conn, std::uint64_t request_id,
                   std::uint16_t type, const std::uint8_t* payload,
                   std::size_t payload_size);
@@ -73,13 +80,17 @@ class ConnectionPool final : private EventLoop::IoSink {
     return send_frame(conn, request_id, type, payload.data(), payload.size());
   }
 
-  // Owner-initiated close: silent (no on_conn_closed).
+  // Owner-initiated close: silent (no on_conn_closed). Frames still in the
+  // outbox, including those deferred by the current read dispatch, are
+  // dropped.
   void close(ConnHandle conn);
   void close_all();
 
   [[nodiscard]] bool alive(ConnHandle conn) const;
   [[nodiscard]] std::size_t open_connections() const { return open_; }
   [[nodiscard]] std::size_t outbox_bytes(ConnHandle conn) const;
+  // Number of sendmsg calls made so far, on every connection.
+  [[nodiscard]] std::uint64_t writes() const { return writes_; }
   [[nodiscard]] const BufferPool& buffers() const { return buffers_; }
   [[nodiscard]] EventLoop& loop() { return *loop_; }
 
@@ -98,6 +109,8 @@ class ConnectionPool final : private EventLoop::IoSink {
     EventLoop::WatchId watch{0};
     FrameSink* sink{nullptr};
     bool want_write{false};
+    // Written to inside the current read dispatch; listed in dirty_.
+    bool dirty{false};
     // Inbound: contiguous buffer with a consumed-prefix head (compacted
     // after each parse pass, capacity retained).
     std::vector<std::uint8_t> in;
@@ -123,6 +136,7 @@ class ConnectionPool final : private EventLoop::IoSink {
   bool flush(std::uint32_t idx);
   void sync_write_interest(Conn& conn);
   void handle_readable(std::uint32_t idx);
+  void flush_dirty();
   void parse_frames(std::uint32_t idx);
   void do_close(std::uint32_t idx, bool notify);
 
@@ -132,6 +146,11 @@ class ConnectionPool final : private EventLoop::IoSink {
   std::uint32_t free_head_{kNil};
   std::size_t open_{0};
   std::size_t outbox_limit_{64u << 20};
+  // Read dispatch nesting depth; sends while it is nonzero are deferred
+  // to flush_dirty(). dirty_ keeps its capacity across dispatches.
+  std::uint32_t dispatching_{0};
+  std::vector<std::uint32_t> dirty_;
+  std::uint64_t writes_{0};
 };
 
 // Listening socket: accepts connections into the pool and hands out their

@@ -1,12 +1,16 @@
 // ConnectionPool unit tests against socketpairs: partial-write resumption
 // under a tiny SO_SNDBUF, bounded-outbox backpressure, malformed-frame
-// rejection, and the pool-chunk leak oracle.
+// rejection, the pool-chunk leak oracle, and the dispatch-scoped flush
+// (one sendmsg per connection per read dispatch) with its re-entrant
+// closes and write errors.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
+#include <functional>
 #include <vector>
 
 #include "rpc/connection.h"
@@ -32,6 +36,21 @@ struct TestSink : FrameSink {
   void on_conn_closed(ConnHandle) override { ++closed; }
 };
 
+// Replies to each frame with the same request id, type and payload, then
+// runs `after` (still inside the dispatch).
+struct EchoSink : FrameSink {
+  ConnectionPool* pool = nullptr;
+  std::function<void(ConnHandle)> after;
+  int closed = 0;
+
+  void on_frame(ConnHandle conn, std::uint64_t request_id, std::uint16_t type,
+                const std::uint8_t* payload, std::size_t size) override {
+    pool->send_frame(conn, request_id, type, payload, size);
+    if (after) after(conn);
+  }
+  void on_conn_closed(ConnHandle) override { ++closed; }
+};
+
 std::vector<std::uint8_t> make_frame(std::uint64_t request_id,
                                      std::uint16_t type,
                                      const std::vector<std::uint8_t>& payload) {
@@ -40,7 +59,7 @@ std::vector<std::uint8_t> make_frame(std::uint64_t request_id,
   std::memcpy(frame.data(), &length, 4);
   std::memcpy(frame.data() + 4, &request_id, 8);
   std::memcpy(frame.data() + 12, &type, 2);
-  std::memcpy(frame.data() + kFrameHeaderBytes, payload.data(), payload.size());
+  std::copy(payload.begin(), payload.end(), frame.begin() + kFrameHeaderBytes);
   return frame;
 }
 
@@ -258,6 +277,148 @@ TEST_F(ConnectionTest, CloseAllReleasesEverything) {
   EXPECT_EQ(pool_.buffers().in_use(), 0u);
   for (const ConnHandle conn : handles) EXPECT_FALSE(pool_.alive(conn));
   for (const int fd : peer_fds) ::close(fd);
+}
+
+TEST_F(ConnectionTest, PipelinedRepliesLeaveInOneWrite) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  EchoSink server;
+  server.pool = &pool_;
+  TestSink client;
+  const ConnHandle server_conn = pool_.adopt(fds[0], &server);
+  const ConnHandle client_conn = pool_.adopt(fds[1], &client);
+  ASSERT_NE(server_conn, 0u);
+  ASSERT_NE(client_conn, 0u);
+
+  // Eight pipelined requests, sent outside any dispatch: one write each,
+  // all queued at the server before the loop first reads them.
+  const std::uint64_t before_requests = pool_.writes();
+  for (std::uint64_t rid = 1; rid <= 8; ++rid) {
+    const std::vector<std::uint8_t> payload(rid, static_cast<std::uint8_t>(rid));
+    ASSERT_TRUE(pool_.send_frame(client_conn, rid, 4, payload));
+  }
+  EXPECT_EQ(pool_.writes() - before_requests, 8u);
+
+  // The server answers all eight inside one read dispatch: one sendmsg.
+  const std::uint64_t before_replies = pool_.writes();
+  ASSERT_TRUE(run_until([&] { return client.frames.size() >= 8; }));
+  EXPECT_EQ(pool_.writes() - before_replies, 1u);
+  ASSERT_EQ(client.frames.size(), 8u);
+  for (std::uint64_t rid = 1; rid <= 8; ++rid) {
+    const ReceivedFrame& reply = client.frames[rid - 1];
+    EXPECT_EQ(reply.request_id, rid);
+    EXPECT_EQ(reply.type, 4u);
+    EXPECT_EQ(reply.payload,
+              std::vector<std::uint8_t>(rid, static_cast<std::uint8_t>(rid)));
+  }
+  EXPECT_EQ(pool_.outbox_bytes(server_conn), 0u);
+  EXPECT_EQ(pool_.buffers().in_use(), 0u);
+}
+
+TEST_F(ConnectionTest, ReplyThenCloseInsideDispatchWritesNothing) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  EchoSink server;
+  server.pool = &pool_;
+  server.after = [&](ConnHandle conn) { pool_.close(conn); };
+  const ConnHandle conn = pool_.adopt(fds[0], &server);
+  ASSERT_NE(conn, 0u);
+
+  const auto request = make_frame(9, 2, {1, 2, 3});
+  ASSERT_EQ(::send(fds[1], request.data(), request.size(), 0),
+            static_cast<ssize_t>(request.size()));
+  const std::uint64_t before = pool_.writes();
+  ASSERT_TRUE(run_until([&] { return !pool_.alive(conn); }));
+
+  // The deferred reply died with its connection: no write, no close
+  // notification for an owner close, every chunk back in the pool.
+  EXPECT_EQ(pool_.writes(), before);
+  EXPECT_EQ(server.closed, 0);
+  EXPECT_EQ(pool_.buffers().in_use(), 0u);
+  std::uint8_t byte = 0;
+  EXPECT_EQ(::recv(fds[1], &byte, 1, MSG_DONTWAIT), 0) << "peer sees EOF only";
+  ::close(fds[1]);
+}
+
+TEST_F(ConnectionTest, SendOnSecondConnectionIsFlushedBeforeDispatchReturns) {
+  int trigger[2];
+  int other[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, trigger), 0);
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, other), 0);
+  TestSink other_sink;
+  const ConnHandle other_conn = pool_.adopt(other[0], &other_sink);
+  ASSERT_NE(other_conn, 0u);
+
+  // Inside the trigger connection's dispatch, write to the other one.
+  std::size_t queued_in_dispatch = 0;
+  bool sent = false;
+  EchoSink trigger_sink;
+  trigger_sink.pool = &pool_;
+  trigger_sink.after = [&](ConnHandle) {
+    const std::vector<std::uint8_t> payload(100, 0x42);
+    sent = pool_.send_frame(other_conn, 77, 6, payload);
+    queued_in_dispatch = pool_.outbox_bytes(other_conn);
+  };
+  const ConnHandle trigger_conn = pool_.adopt(trigger[0], &trigger_sink);
+  ASSERT_NE(trigger_conn, 0u);
+
+  const auto request = make_frame(1, 1, {});
+  ASSERT_EQ(::send(trigger[1], request.data(), request.size(), 0),
+            static_cast<ssize_t>(request.size()));
+  ASSERT_TRUE(run_until([&] { return sent; }));
+  EXPECT_EQ(queued_in_dispatch, kFrameHeaderBytes + 100)
+      << "a send inside a read dispatch is deferred";
+  // on_io_event has returned: both connections are flushed and the
+  // frame is on the wire.
+  EXPECT_EQ(pool_.outbox_bytes(other_conn), 0u);
+  EXPECT_EQ(pool_.outbox_bytes(trigger_conn), 0u);
+  std::uint8_t wire[kFrameHeaderBytes + 100];
+  EXPECT_EQ(::recv(other[1], wire, sizeof(wire), MSG_DONTWAIT),
+            static_cast<ssize_t>(sizeof(wire)));
+  std::uint64_t request_id = 0;
+  std::memcpy(&request_id, wire + 4, 8);
+  EXPECT_EQ(request_id, 77u);
+  EXPECT_EQ(pool_.buffers().in_use(), 0u);
+  ::close(trigger[1]);
+  ::close(other[1]);
+}
+
+TEST_F(ConnectionTest, PeerResetBeforeDeferredFlushClosesOnce) {
+  int trigger[2];
+  int victim[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, trigger), 0);
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, victim), 0);
+  TestSink victim_sink;
+  const ConnHandle victim_conn = pool_.adopt(victim[0], &victim_sink);
+  ASSERT_NE(victim_conn, 0u);
+
+  // Inside the dispatch: the victim's peer goes away, then a frame is
+  // queued for it. The deferred flush finds the broken pipe.
+  bool triggered = false;
+  bool sent = false;
+  EchoSink trigger_sink;
+  trigger_sink.pool = &pool_;
+  trigger_sink.after = [&](ConnHandle) {
+    ::close(victim[1]);
+    sent = pool_.send_frame(victim_conn, 5, 1, nullptr, 0);
+    triggered = true;
+  };
+  ASSERT_NE(pool_.adopt(trigger[0], &trigger_sink), 0u);
+
+  const auto request = make_frame(1, 1, {});
+  ASSERT_EQ(::send(trigger[1], request.data(), request.size(), 0),
+            static_cast<ssize_t>(request.size()));
+  ASSERT_TRUE(run_until([&] { return triggered; }));
+  // The deferred send reports success; the broken pipe surfaces at the
+  // flush, which closes the connection and notifies once.
+  EXPECT_TRUE(sent);
+  EXPECT_FALSE(pool_.alive(victim_conn));
+  EXPECT_EQ(victim_sink.closed, 1);
+  loop_.run_for(msec(20));  // a stale hangup event must not notify again
+  EXPECT_EQ(victim_sink.closed, 1);
+  EXPECT_TRUE(victim_sink.frames.empty());
+  EXPECT_EQ(pool_.buffers().in_use(), 0u);
+  ::close(trigger[1]);
 }
 
 }  // namespace

@@ -1,11 +1,15 @@
 // Loopback tests for the framed RPC layer: request/response, async
-// responders, one-way messages, timeouts, dead-peer failures.
+// responders, one-way messages, timeouts, dead-peer failures (including a
+// reset found by the pool's end-of-dispatch flush).
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
+
+#include <cstring>
+#include <functional>
 
 #include "common/rng.h"
 #include "rpc/rpc_client.h"
@@ -316,6 +320,88 @@ TEST_F(RpcTest, NoPoolChunksLeakAfterTraffic) {
   pool_.close_all();
   EXPECT_EQ(pool_.buffers().in_use(), 0u);
   EXPECT_EQ(pool_.open_connections(), 0u);
+}
+
+// Runs `fn` for every frame its connection delivers.
+struct CallbackSink : FrameSink {
+  std::function<void()> fn;
+  void on_frame(ConnHandle, std::uint64_t, std::uint16_t, const std::uint8_t*,
+                std::size_t) override {
+    fn();
+  }
+  void on_conn_closed(ConnHandle) override {}
+};
+
+TEST_F(RpcTest, PeerResetBeforeDeferredFlushFailsPendingCalls) {
+  // A raw listening socket stands in for the server, so the test holds the
+  // accepted fd and can reset it.
+  const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listen_fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listen_fd, 4), 0);
+  socklen_t addr_len = sizeof(addr);
+  ASSERT_EQ(::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr),
+                          &addr_len),
+            0);
+  RpcClient client(loop_, pool_, local_endpoint(ntohs(addr.sin_port)));
+
+  int failed = 0;
+  int succeeded = 0;
+  bool both_failed = false;
+  const auto count = [&](RpcResult response) {
+    ++(response.ok ? succeeded : failed);
+    both_failed = failed == 2;
+  };
+  // The first call connects; its request reaches the server, which holds
+  // the reply.
+  client.call(MessageType::kJoin, {}, sec(5), count);
+  const int server_fd = ::accept(listen_fd, nullptr, nullptr);
+  ASSERT_GE(server_fd, 0);
+  std::uint8_t header[kFrameHeaderBytes];
+  const SimTime end = loop_.now() + sec(2.0);
+  while (::recv(server_fd, header, sizeof(header), MSG_DONTWAIT | MSG_PEEK) <
+             static_cast<ssize_t>(sizeof(header)) &&
+         loop_.now() < end) {
+    loop_.run_for(msec(5));
+  }
+  ASSERT_EQ(client.pending_count(), 1u);
+
+  // Inside another connection's read dispatch: the server resets, then
+  // the client issues a second call, whose frame waits for the deferred
+  // flush.
+  int trigger[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, trigger), 0);
+  bool triggered = false;
+  CallbackSink trigger_sink;
+  trigger_sink.fn = [&] {
+    const linger abort_close{1, 0};
+    ::setsockopt(server_fd, SOL_SOCKET, SO_LINGER, &abort_close,
+                 sizeof(abort_close));
+    ::close(server_fd);
+    client.call(MessageType::kJoin, {}, sec(5), count);
+    triggered = true;
+  };
+  ASSERT_NE(pool_.adopt(trigger[0], &trigger_sink), 0u);
+  std::uint8_t frame[kFrameHeaderBytes] = {};
+  const std::uint32_t length = 10;
+  std::memcpy(frame, &length, 4);
+  ASSERT_EQ(::send(trigger[1], frame, sizeof(frame), 0),
+            static_cast<ssize_t>(sizeof(frame)));
+
+  run_until(both_failed);
+  EXPECT_TRUE(triggered);
+  EXPECT_EQ(failed, 2);
+  EXPECT_EQ(succeeded, 0);
+  EXPECT_EQ(client.pending_count(), 0u);
+  loop_.run_for(msec(20));  // nothing fails twice
+  EXPECT_EQ(failed, 2);
+  EXPECT_EQ(pool_.buffers().in_use(), 0u);
+  ::close(trigger[1]);
+  ::close(listen_fd);
 }
 
 }  // namespace

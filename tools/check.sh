@@ -208,8 +208,9 @@ awk -v ref="$REF_SHARD" -v new="$NEW_SHARD" 'BEGIN {
 
 echo "=== [release] live loopback smoke (bench_live --smoke) ==="
 # The live data plane over real localhost sockets: the smoke run must hold
-# the steady-state allocation bound, leak no buffer-pool chunks, and land
-# inside the live-vs-sim latency tolerance band (sim parity).
+# the steady-state allocation bound, leak no buffer-pool chunks, coalesce
+# pipelined writes, and land inside the live-vs-sim latency tolerance band
+# (sim parity).
 build-release/bench/bench_live --smoke --json "$LIVE_JSON"
 if ! grep -q '"leaked_pool_slots": 0' "$LIVE_JSON"; then
   echo "live smoke: leaked buffer-pool slots" >&2
@@ -243,6 +244,23 @@ awk -v ref="$REF_LIVE" -v new="$NEW_LIVE" 'BEGIN {
   bound = 1.2 * ref; if (bound < 0.7) bound = 0.7
   if (new > bound) {
     printf "live smoke: allocation regression >20%% (%.3f vs %.3f allocs/frame)\n", new, ref
+    exit 1
+  }
+}' || exit 1
+# The discovery storm's pump pool: the follow-up calls a read dispatch
+# issues on one connection must leave in one sendmsg. With 8 calls in
+# flight per connection that is 0.125 writes per query; one write per
+# request reads 1.0.
+NEW_WRITES=$(sed -n '/"smoke"/,/}/p' "$LIVE_JSON" |
+  grep -o '"writes_per_op": [0-9.]*' | head -1 | grep -o '[0-9.]*$')
+if [ -z "$NEW_WRITES" ]; then
+  echo "live smoke: missing writes_per_op" >&2
+  exit 1
+fi
+echo "live smoke writes_per_op: measured=$NEW_WRITES (gate 0.5)"
+awk -v new="$NEW_WRITES" 'BEGIN {
+  if (new > 0.5) {
+    printf "live smoke: writes are not coalesced (%.3f sendmsg calls per query > 0.5)\n", new
     exit 1
   }
 }' || exit 1
