@@ -308,12 +308,11 @@ ScaleResult run_scale_scenario(int clients, int nodes, double sim_seconds,
 // The same smoke-scale fleet through harness::ShardedScenario at several
 // shard counts. frames_ok and the latency percentiles must be identical in
 // every entry (conservative windows change nothing observable); per-shard
-// event counts and the barrier-stall fraction quantify the parallel
-// headroom a multi-core host would get out of the partition.
+// event counts and the stall fraction show how evenly the partition
+// spreads the work.
 
 struct ShardSweepResult {
   unsigned shards{0};
-  unsigned threads{1};
   double build_sec{0};
   double run_sec{0};
   std::uint64_t events{0};
@@ -324,23 +323,19 @@ struct ShardSweepResult {
   double window_ms{0};
   std::uint64_t cross_shard_messages{0};
   // stalled (domain, window) pairs / (windows * shards): the fraction of
-  // per-window domain slots that had nothing to do — idle barrier time a
-  // parallel pool cannot recover.
+  // per-window domain slots that had nothing to do.
   double stall_fraction{0};
   std::vector<std::uint64_t> events_per_domain;
 };
 
 ShardSweepResult run_shard_scenario(int clients, int nodes,
-                                    double sim_seconds, unsigned shards,
-                                    unsigned threads) {
+                                    double sim_seconds, unsigned shards) {
   ShardSweepResult result;
   result.shards = shards;
-  result.threads = threads;
 
   harness::ShardedConfig config;
   config.base.seed = 7;
   config.shards = shards;
-  config.threads = threads;
   // Exercise the window loop even at one shard so every entry measures the
   // same machinery and the stall fraction is comparable.
   config.force_windows = true;
@@ -382,12 +377,11 @@ bool sweep_identical(const std::vector<ShardSweepResult>& sweep) {
 }
 
 void print_shard_sweep(const std::vector<ShardSweepResult>& sweep) {
-  Table table({"shards", "threads", "run (s)", "events", "frames ok",
+  Table table({"shards", "run (s)", "events", "frames ok",
                "p50 (ms)", "p99 (ms)", "windows", "cross msgs", "stall"});
   for (const ShardSweepResult& r : sweep) {
     table.add_row(
         {Table::integer(static_cast<std::int64_t>(r.shards)),
-         Table::integer(static_cast<std::int64_t>(r.threads)),
          Table::num(r.run_sec, 2),
          Table::integer(static_cast<std::int64_t>(r.events)),
          Table::integer(static_cast<std::int64_t>(r.frames_ok)),
@@ -461,14 +455,13 @@ void write_json(const std::string& path, const DiscoveryResult& disc,
     for (std::size_t i = 0; i < sweep.size(); ++i) {
       const ShardSweepResult& r = sweep[i];
       std::fprintf(f,
-                   "    {\"shards\": %u, \"threads\": %u, "
-                   "\"build_sec\": %.3f, "
+                   "    {\"shards\": %u, \"build_sec\": %.3f, "
                    "\"run_sec\": %.3f, \"events\": %llu, "
                    "\"frames_ok\": %llu, \"latency_p50_ms\": %.1f, "
                    "\"latency_p99_ms\": %.1f, \"windows\": %llu, "
                    "\"window_ms\": %.3f, \"cross_shard_messages\": %llu, "
                    "\"stall_fraction\": %.4f, \"events_per_domain\": [",
-                   r.shards, r.threads, r.build_sec, r.run_sec,
+                   r.shards, r.build_sec, r.run_sec,
                    static_cast<unsigned long long>(r.events),
                    static_cast<unsigned long long>(r.frames_ok),
                    r.latency_p50_ms, r.latency_p99_ms,
@@ -500,7 +493,6 @@ int main(int argc, char** argv) {
   std::string json_path;
   bool json = false;
   std::string shard_list = "1,2,4,8";  // "0" skips the sweep
-  int threads = 1;  // WindowPool width for the shard sweep (0 = hardware)
   for (int i = 1; i < argc; ++i) {
     const auto int_flag = [&](const char* flag, int& out) {
       if (std::strcmp(argv[i], flag) == 0 && i + 1 < argc) {
@@ -511,8 +503,7 @@ int main(int argc, char** argv) {
     };
     if (int_flag("--clients", clients) || int_flag("--nodes", nodes) ||
         int_flag("--disc-nodes", disc_nodes) ||
-        int_flag("--disc-queries", disc_queries) ||
-        int_flag("--threads", threads)) {
+        int_flag("--disc-queries", disc_queries)) {
       continue;
     }
     if (std::strcmp(argv[i], "--seconds") == 0 && i + 1 < argc) {
@@ -569,9 +560,8 @@ int main(int argc, char** argv) {
       const unsigned long v = std::strtoul(p, &end, 10);
       if (end == p) break;
       if (v > 0) {
-        sweep.push_back(
-            run_shard_scenario(2000, 200, seconds, static_cast<unsigned>(v),
-                               static_cast<unsigned>(std::max(0, threads))));
+        sweep.push_back(run_shard_scenario(2000, 200, seconds,
+                                           static_cast<unsigned>(v)));
       }
       p = (*end == ',') ? end + 1 : end;
     }

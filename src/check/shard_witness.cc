@@ -21,10 +21,9 @@ ShardRunReport run_spec_sharded(const ScenarioSpec& spec, unsigned shards,
   config.base = spec_config(spec);
   config.shards = std::max(1u, shards);
   // shards == 0 is the windowless sequential reference; any explicit shard
-  // count exercises the window/barrier machinery even when the partition
+  // count exercises the window machinery even when the partition
   // happens to keep every host in one domain.
   config.force_windows = shards != 0;
-  config.threads = options.threads;
   config.window = options.window;
   harness::ShardedScenario scenario(config, spec_net_kind(spec),
                                     spec.default_rtt_ms, spec.default_bw_mbps,

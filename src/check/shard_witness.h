@@ -3,14 +3,14 @@
 // report the SAME canonical artifacts — the pre-teardown trace merged into
 // (time, site) order, the merged metrics, and the global-order fleet stats
 // — so `digest(shards = N) == digest(shards = 0)` is a bitwise proof that
-// geohash partitioning, conservative windows and the barrier router did
+// geohash partitioning, conservative windows and cross-shard routing did
 // not change a single observable event of the run.
 //
 // Shard-count convention for run_spec_sharded():
 //   shards == 0  → one domain, windowless (the sequential reference;
 //                  run_until degenerates to a single Simulator drain)
 //   shards == 1  → one domain, windows forced to the all-pairs delay
-//                  floor (exercises the window/barrier machinery without
+//                  floor (exercises the window machinery without
 //                  any cross-shard traffic)
 //   shards >= 2  → geohash-partitioned domains, conservative lookahead
 //
@@ -35,8 +35,6 @@
 namespace eden::check {
 
 struct ShardRunOptions : RunOptions {
-  // WindowPool threads for the per-window domain fan-out (0 = hardware).
-  unsigned threads{1};
   // Fixed window override; 0 derives windows from the lookahead bound.
   SimDuration window{0};
   // Keep the canonical JSONL text in the report (divergence diffing).
@@ -45,8 +43,8 @@ struct ShardRunOptions : RunOptions {
 
 struct ShardRunReport : SpecOutcome {
   // FNV-1a over the canonical (time, site)-merged pre-teardown trace
-  // JSONL. Identical for every shard count, every thread count and every
-  // window length — the sharded == sequential determinism witness.
+  // JSONL. Identical for every shard count and every window length — the
+  // sharded == sequential determinism witness.
   std::uint64_t trace_digest{0};
   std::size_t trace_events{0};
   std::string trace_jsonl;  // only when ShardRunOptions::keep_trace

@@ -7,9 +7,17 @@
 #include <thread>
 #include <utility>
 
-#include "harness/window_pool.h"
-
 namespace eden::harness {
+
+unsigned resolve_thread_count(unsigned requested, unsigned hardware) {
+  if (requested != 0) return requested;
+  return hardware == 0 ? 1u : hardware;
+}
+
+unsigned resolve_thread_count(unsigned requested) {
+  return resolve_thread_count(requested,
+                              std::thread::hardware_concurrency());
+}
 
 ParallelRunner::ParallelRunner(unsigned threads)
     : threads_(resolve_thread_count(threads)) {}

@@ -14,12 +14,18 @@
 
 namespace eden::harness {
 
+// Thread-count contract: requested == 0 means "use the hardware
+// parallelism". The standard allows std::thread::hardware_concurrency() to
+// return 0 when the platform cannot report a value, so the result is
+// clamped to >= 1 — callers may always divide work by the resolved count.
+[[nodiscard]] unsigned resolve_thread_count(unsigned requested,
+                                            unsigned hardware);
+// Convenience overload over std::thread::hardware_concurrency().
+[[nodiscard]] unsigned resolve_thread_count(unsigned requested);
+
 class ParallelRunner {
  public:
-  // threads == 0 picks std::thread::hardware_concurrency(), clamped to a
-  // minimum of 1 when the platform cannot report its parallelism — see
-  // resolve_thread_count() in harness/window_pool.h for the shared
-  // contract.
+  // threads == 0 resolves via resolve_thread_count().
   explicit ParallelRunner(unsigned threads = 0);
 
   [[nodiscard]] unsigned threads() const { return threads_; }

@@ -64,23 +64,19 @@ ShardedScenario::ShardedScenario(ShardedConfig config,
     throw std::invalid_argument(
         "ShardedScenario: a warm standby needs exactly one domain");
   }
-  pool_ = std::make_unique<WindowPool>(
-      std::max(1u, resolve_thread_count(config_.threads)));
   for (unsigned s = 0; s < shards; ++s) domains_.emplace_back();
-  // One model for every domain: lookups are const and write nothing, so
-  // concurrent windows can share it; hosts are added only between windows.
+  // One model for every domain; hosts are added only between windows.
   model_ = factory(domains_[0].scheduler);
   const Rng rng(config_.base.seed);
   for (Domain& d : domains_) {
     d.fabric = std::make_unique<net::SimNetwork>(d.sim, *model_, d.hosts,
                                                  rng.fork("fabric"));
-    const net::ShardRouter::ShardId id = router_.add_shard(d.fabric.get(),
-                                                           &d.sim);
+    router_.add_shard(d.fabric.get());
     if (deterministic) {
       // Same seed everywhere: a message's jitter must not depend on which
       // domain sampled it.
       d.fabric->enable_deterministic_delivery(config_.base.seed);
-      d.fabric->set_shard_router(&router_, id);
+      d.fabric->set_shard_router(&router_);
     }
   }
 
@@ -266,7 +262,6 @@ HostId ShardedScenario::add_host(std::uint32_t domain,
                                  double extra_rtt_ms,
                                  const std::string& network_tag) {
   const HostId host{next_host_++};
-  host_domain_.push_back(domain);
   router_.set_shard(host, domain);
   if (alive) domains_[domain].hosts.set_alive(host, true);
   min_last_mile_ms_ =
@@ -520,9 +515,10 @@ void ShardedScenario::isolate_host(HostId host, SimTime from, SimTime until) {
 
 bool ShardedScenario::cross_domain_pairs_exist() const {
   if (domains_.size() < 2) return false;
-  const std::uint32_t first = host_domain_.empty() ? 0 : host_domain_[0];
-  for (const std::uint32_t dom : host_domain_) {
-    if (dom != first) return true;
+  for (std::uint32_t h = 1; h < next_host_; ++h) {
+    if (router_.shard_of(HostId{h}) != router_.shard_of(HostId{0})) {
+      return true;
+    }
   }
   return false;
 }
@@ -539,7 +535,10 @@ SimDuration ShardedScenario::lookahead() const {
     // window still has a real floor.
     for (std::uint32_t a = 0; a < next_host_; ++a) {
       for (std::uint32_t b = a + 1; b < next_host_; ++b) {
-        if (cross && host_domain_[a] == host_domain_[b]) continue;
+        if (cross &&
+            router_.shard_of(HostId{a}) == router_.shard_of(HostId{b})) {
+          continue;
+        }
         const double owd_us =
             static_cast<double>(model.base_rtt(HostId{a}, HostId{b})) / 2.0;
         min_owd_us = std::min(min_owd_us, owd_us);
@@ -577,27 +576,29 @@ void ShardedScenario::run_until(SimTime horizon) {
   SimDuration window = lookahead();
   if (config_.window > 0) window = std::min(window, config_.window);
   last_window_ = window;
-  const std::size_t count = domains_.size();
   while (cursor_ < horizon) {
     const SimTime w_end =
         (horizon - cursor_ > window) ? cursor_ + window : horizon;
-    // Envelopes posted during the previous window arrive at or after its
-    // start + lookahead >= this window's start; flushing here (before the
-    // window runs) therefore never injects into executed time.
-    router_.flush(cursor_);
-    // Half-open [cursor_, w_end): run_until is inclusive, so stop one tick
-    // short — except at the horizon, which the sequential contract
-    // includes. Cross-shard arrivals land at >= w_end, so an arrival at
-    // exactly w_end still precedes every w_end event on the destination
-    // (deliveries beat events at equal times; none have run yet).
-    const SimTime stop = (w_end == horizon) ? horizon : w_end - 1;
+    router_.open_window(w_end);
     ++windows_;
-    pool_->for_each(count, [this, stop](std::size_t i) {
-      Domain& d = domains_[i];
-      const std::uint64_t before = d.sim.events_processed();
-      d.sim.run_until(stop);
-      if (d.sim.events_processed() == before) ++d.stalled_windows;
-    });
+    for (Domain& d : domains_) {
+      d.window_start_events = d.sim.events_processed();
+      // Half-open [cursor_, w_end): run_until is inclusive, so stop one
+      // tick short. Cross-shard arrivals land at >= w_end, after every
+      // instant this window executes on any domain.
+      d.sim.run_until(w_end - 1);
+    }
+    if (w_end == horizon) {
+      // The horizon tick, which the sequential contract includes: every
+      // arrival at the horizon was sent in an earlier instant and is
+      // scheduled by now, and a send at the horizon arrives after it.
+      for (Domain& d : domains_) d.sim.run_until(horizon);
+    }
+    for (Domain& d : domains_) {
+      if (d.sim.events_processed() == d.window_start_events) {
+        ++d.stalled_windows;
+      }
+    }
     cursor_ = w_end;
   }
 }

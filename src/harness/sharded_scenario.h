@@ -9,13 +9,19 @@
 // Domains: the world is split into shard domains — each with its own
 // sim::Simulator, SimNetwork fabric, host table, fault injector and fleets
 // — advanced in conservative-lookahead windows: every domain runs [w0, w1)
-// (half-open) independently, then a single-threaded barrier injects the
-// cross-shard messages buffered by the ShardRouter into their destination
-// domains' simulators. The window length never exceeds the minimum
-// possible cross-shard one-way delay (lookahead()), so no injected message
-// can land inside a window its destination already executed — the classic
-// conservative parallel-DES contract. One domain without force_windows
-// runs one window per run_until() call.
+// (half-open) in turn, inline and in index order, and a cross-shard
+// message goes straight into its destination domain's simulator. The
+// window length never exceeds the minimum possible cross-shard one-way
+// delay (lookahead()), so a message sent in a window arrives at or after
+// its end, and the order the domains run in cannot change what any of
+// them executes — the classic conservative parallel-DES contract. The
+// horizon tick itself runs as one more pass over the domains after the
+// last window, once every arrival at the horizon has been scheduled. One
+// domain without force_windows runs one window per run_until() call.
+//
+// Shards are a determinism tool, not a speedup: the shard witness checks
+// that every shard count gives the same world. Every domain's fabric
+// samples the one network model the scenario owns.
 //
 // Delivery: the public constructor runs every fabric in deterministic-
 // delivery mode (canonical delivery keys + counter-based jitter; see
@@ -33,13 +39,6 @@
 // (harness/fleet.h), the edge clients of a domain share one
 // SimManagerStub parameterised by the caller id carried in each request,
 // and every stub and link resolves the manager through one ManagerRoute.
-//
-// Threading: domains within a window run on a persistent WindowPool;
-// threads == 1 (the default) runs them inline. Everything between windows
-// (barriers, build calls, fault injection, stat readers) is
-// single-threaded by construction. Every domain's fabric samples the one
-// network model the scenario owns; its lookups write nothing, so windows
-// share it without locks.
 #pragma once
 
 #include <cstdint>
@@ -58,7 +57,6 @@
 #include "geo/geohash.h"
 #include "harness/fleet.h"
 #include "harness/sim_stubs.h"
-#include "harness/window_pool.h"
 #include "journal/backend.h"
 #include "journal/manager_journal.h"
 #include "journal/standby.h"
@@ -115,7 +113,9 @@ struct ShardedConfig {
   // force_windows degenerates to a windowless sequential run (the witness
   // reference).
   unsigned shards{1};
-  // WindowPool threads for the per-window domain fan-out (0 = hardware).
+  // Ignored: domains always run inline. Kept only because the benchmark
+  // program still assigns it; deleted once a benchmark change drops that
+  // assignment.
   unsigned threads{1};
   // Geohash prefix length hashed for host→shard placement. Coarser than
   // the protocol's discovery precision: co-located hosts MUST share a
@@ -124,7 +124,7 @@ struct ShardedConfig {
   // Fixed window length override; 0 derives the window from lookahead().
   // A nonzero value is still clamped to the lookahead bound.
   SimDuration window{0};
-  // Exercise the window/barrier machinery even when no cross-shard pair
+  // Exercise the window machinery even when no cross-shard pair
   // exists (shards == 1): windows shrink to the all-pairs delay floor
   // instead of one giant window per run_until() call.
   bool force_windows{false};
@@ -133,7 +133,7 @@ struct ShardedConfig {
 // Per-domain event-loop counters for bench reporting.
 struct ShardStats {
   std::vector<std::uint64_t> events_per_domain;
-  std::uint64_t windows{0};                 // barrier count
+  std::uint64_t windows{0};                 // windows run
   std::uint64_t stalled_domain_windows{0};  // (domain, window) pairs idle
   std::uint64_t cross_shard_messages{0};
   SimDuration window_length{0};             // last derived window
@@ -332,6 +332,7 @@ class ShardedScenario {
     std::deque<SimNodeStub> remote_stubs;
     // Resolved endpoints by NodeId::value (null = not resolved yet).
     std::vector<net::NodeApi*> stub_cache;
+    std::uint64_t window_start_events{0};  // events_processed at w0
     std::uint64_t stalled_windows{0};
   };
 
@@ -380,6 +381,8 @@ class ShardedScenario {
 
   ShardedConfig config_;
   double default_rtt_ms_;
+  // Host→domain placement (the one table) and the window bookkeeping every
+  // fabric checks cross-shard sends against.
   net::ShardRouter router_;
   // Declared before domains_ so it outlives every fabric sampling from it.
   std::unique_ptr<net::NetworkModel> model_;
@@ -405,8 +408,7 @@ class ShardedScenario {
   std::string standby_dump_;
   std::string expected_dump_;
   std::uint32_t next_host_{0};
-  std::vector<std::uint32_t> host_domain_;  // indexed by host id
-  std::vector<EntityRef> node_refs_;        // global node index → (domain, i)
+  std::vector<EntityRef> node_refs_;  // global node index → (domain, i)
   std::vector<EntityRef> client_refs_;
   // Dense by NodeId::value — node ids are host ids, which add_host hands
   // out from one sequence — so every send resolves its node without
@@ -414,7 +416,6 @@ class ShardedScenario {
   static constexpr std::size_t kNoNode = static_cast<std::size_t>(-1);
   std::vector<std::size_t> node_index_by_id_;  // kNoNode for non-nodes
   std::vector<std::uint8_t> unrouted_;         // set_route(id, false)
-  std::unique_ptr<WindowPool> pool_;
   SimTime cursor_{0};
   std::uint64_t windows_{0};
   SimDuration last_window_{0};

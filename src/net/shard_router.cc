@@ -1,16 +1,12 @@
 #include "net/shard_router.h"
 
 #include <stdexcept>
-#include <utility>
 
 namespace eden::net {
 
-ShardRouter::ShardId ShardRouter::add_shard(SimNetwork* fabric,
-                                            sim::Simulator* simulator) {
+ShardRouter::ShardId ShardRouter::add_shard(SimNetwork* fabric) {
   fabrics_.push_back(fabric);
-  sims_.push_back(simulator);
-  outboxes_.emplace_back();
-  return static_cast<ShardId>(sims_.size() - 1);
+  return static_cast<ShardId>(fabrics_.size() - 1);
 }
 
 void ShardRouter::set_shard(HostId host, ShardId shard) {
@@ -18,37 +14,19 @@ void ShardRouter::set_shard(HostId host, ShardId shard) {
   owner_[host.value] = shard;
 }
 
-void ShardRouter::post(ShardId src, ShardId dst, SimTime arrival,
-                       std::uint64_t key_hi, std::uint64_t key_lo,
-                       sim::Callback cb) {
-  outboxes_[src].push_back(
-      Envelope{arrival, key_hi, key_lo, dst, std::move(cb)});
+void ShardRouter::open_window(SimTime end) {
+  window_end_ = end;
+  routed_ += admitted_in_window_;
+  admitted_in_window_ = 0;
 }
 
-std::size_t ShardRouter::flush(SimTime window_start) {
-  std::size_t injected = 0;
-  for (auto& outbox : outboxes_) {
-    for (Envelope& e : outbox) {
-      if (e.arrival < window_start) {
-        throw std::runtime_error(
-            "ShardRouter::flush: cross-shard arrival precedes the window "
-            "start — the lookahead bound was violated");
-      }
-      sims_[e.dst]->schedule_delivery(
-          e.arrival, sim::Simulator::DeliveryKey{e.hi, e.lo}, std::move(e.cb));
-      ++injected;
-    }
-    outbox.clear();
+void ShardRouter::admit(SimTime arrival) {
+  if (arrival < window_end_) {
+    throw std::runtime_error(
+        "ShardRouter::admit: cross-shard arrival precedes the window end — "
+        "the lookahead bound was violated");
   }
-  routed_ += injected;
-  return injected;
-}
-
-bool ShardRouter::idle() const {
-  for (const auto& outbox : outboxes_) {
-    if (!outbox.empty()) return false;
-  }
-  return true;
+  ++admitted_in_window_;
 }
 
 }  // namespace eden::net

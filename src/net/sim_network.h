@@ -131,14 +131,10 @@ class SimNetwork {
   }
   [[nodiscard]] bool deterministic_delivery() const { return deterministic_; }
 
-  // Attach this fabric to a shard router as shard `shard_id`: messages
-  // addressed to hosts owned by other shards are posted to the router and
-  // injected into the owner's simulator at the next window barrier.
-  // Only meaningful in deterministic mode.
-  void set_shard_router(ShardRouter* router, std::uint32_t shard_id) {
-    router_ = router;
-    shard_id_ = shard_id;
-  }
+  // Attach this fabric to a shard router: messages addressed to hosts
+  // owned by other shards are admitted by the router and scheduled straight
+  // into the owner's simulator. Only meaningful in deterministic mode.
+  void set_shard_router(ShardRouter* router) { router_ = router; }
 
   // Deterministic jitter clamps the standard-normal draw at +/- this many
   // sigma, so exp(-kDetJitterZClamp * sigma) is a HARD lower bound on the
@@ -452,12 +448,12 @@ class SimNetwork {
     return router_->fabric_of(router_->shard_of(host));
   }
 
-  // Compute the canonical delivery key for a message from -> to, then
-  // either schedule it as a local delivery (intra-shard) or post it to the
-  // router for barrier injection (cross-shard). The source sequence
-  // consumed here is the same counter sample_delay peeked for the jitter
-  // draw — the two stay in lockstep because every sampled message is
-  // routed exactly once.
+  // Compute the canonical delivery key for a message from -> to and
+  // schedule it as a delivery on the simulator of `to`'s shard; a
+  // cross-shard message is admitted by the router first. The source
+  // sequence consumed here is the same counter sample_delay peeked for the
+  // jitter draw — the two stay in lockstep because every sampled message
+  // is routed exactly once.
   template <typename F>
   void route_canonical(HostId from, HostId to, SimDuration delay, F&& fn) {
     const std::uint64_t hi =
@@ -466,16 +462,11 @@ class SimNetwork {
     const std::uint64_t lo = src_seq_[from.value]++;
     if (delay < 0) delay = 0;
     const SimTime arrival = simulator_->now() + delay;
-    if (router_ != nullptr) {
-      const std::uint32_t dst_shard = router_->shard_of(to);
-      if (dst_shard != shard_id_) {
-        router_->post(shard_id_, dst_shard, arrival, hi, lo,
-                      sim::Callback(std::forward<F>(fn)));
-        return;
-      }
-    }
-    simulator_->schedule_delivery(arrival, sim::Simulator::DeliveryKey{hi, lo},
-                                  sim::Callback(std::forward<F>(fn)));
+    SimNetwork* owner = owner_of(to);
+    if (owner != this) router_->admit(arrival);
+    owner->simulator_->schedule_delivery(arrival,
+                                         sim::Simulator::DeliveryKey{hi, lo},
+                                         sim::Callback(std::forward<F>(fn)));
   }
 
   [[nodiscard]] double det_jitter_factor(std::uint64_t key,
@@ -535,7 +526,6 @@ class SimNetwork {
   bool deterministic_{false};
   std::uint64_t det_seed_{0};
   ShardRouter* router_{nullptr};
-  std::uint32_t shard_id_{0};
   // Messages sent so far, by source HostId (deterministic mode only): the
   // jitter of a host's message n is hashed from n, and n is the canonical
   // delivery-key tiebreak.

@@ -98,9 +98,9 @@ class Simulator {
   // builds the key canonically — hi = (destination << 32 | source), lo =
   // the source's message sequence — so the relative order of same-tick
   // deliveries is a pure function of the message set, independent of which
-  // shard produced each message or whether it arrived inline or through a
-  // window barrier. At equal timestamps deliveries run BEFORE regular
-  // events (a fixed global rule, again shard-layout-independent).
+  // shard produced each message or when it was scheduled. At equal
+  // timestamps deliveries run BEFORE regular events (a fixed global rule,
+  // again shard-layout-independent).
   // Deliveries cannot be cancelled; they count toward pending() and
   // events_processed() like regular events.
   struct DeliveryKey {
@@ -251,7 +251,8 @@ class Simulator {
     const auto time = static_cast<std::uint64_t>(t);
     // last_min_ can sit above now() between runs: run_until() refills
     // bucket 0 past its limit and then advances the clock into the gap,
-    // and a window barrier injects cross-shard deliveries into that gap.
+    // and a cross-shard send from another domain can schedule a delivery
+    // into that gap.
     // A schedule there lowers last_min_ so the radix ordering invariant
     // (every queued time >= last_min_) keeps holding.
     if (time < last_min_) [[unlikely]] {

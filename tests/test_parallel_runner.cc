@@ -1,6 +1,7 @@
-// Unit tests for harness::ParallelRunner: ordering, exception propagation,
-// and the property the benches rely on — a pool of N threads produces
-// bitwise-identical results to running the same jobs sequentially.
+// Unit tests for harness::ParallelRunner and resolve_thread_count():
+// ordering, exception propagation, and the property the benches rely on —
+// a pool of N threads produces bitwise-identical results to running the
+// same jobs sequentially.
 #include "harness/parallel_runner.h"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -18,6 +20,22 @@
 
 namespace eden::harness {
 namespace {
+
+TEST(ResolveThreadCount, ExplicitRequestWins) {
+  EXPECT_EQ(resolve_thread_count(4, 8), 4u);
+  EXPECT_EQ(resolve_thread_count(1, 8), 1u);
+  // An explicit request is honored even when hardware reports nothing.
+  EXPECT_EQ(resolve_thread_count(3, 0), 3u);
+}
+
+TEST(ResolveThreadCount, ZeroPicksHardwareClampedToOne) {
+  EXPECT_EQ(resolve_thread_count(0, 8), 8u);
+  // hardware_concurrency() == 0 means "unknown" — never 0 threads.
+  EXPECT_EQ(resolve_thread_count(0, 0), 1u);
+  const unsigned hw = std::thread::hardware_concurrency();
+  EXPECT_EQ(resolve_thread_count(0), hw == 0 ? 1u : hw);
+  EXPECT_GE(resolve_thread_count(0), 1u);
+}
 
 TEST(ParallelRunner, AtLeastOneThread) {
   EXPECT_GE(ParallelRunner(0).threads(), 1u);

@@ -1,28 +1,29 @@
 // Sharded-simulator tests: the canonical ordering of deliveries, the
-// ShardRouter window-barrier contract, the WindowPool fork-join primitive
-// and the resolve_thread_count() contract, conservative lookahead
-// derivation — and the tentpole witness: run_spec_sharded() produces a
-// bit-identical canonical trace digest at every shard count, pinned
-// against the windowless one-shard sequential reference.
+// ShardRouter's direct cross-shard injection and its lookahead check,
+// conservative lookahead derivation — and the tentpole witness:
+// run_spec_sharded() produces a bit-identical canonical trace digest at
+// every shard count, pinned against the windowless one-shard sequential
+// reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <functional>
 #include <random>
 #include <set>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <tuple>
 #include <unordered_map>
 #include <vector>
 
 #include "check/fuzzer.h"
 #include "check/shard_witness.h"
+#include "common/rng.h"
 #include "harness/sharded_scenario.h"
-#include "harness/window_pool.h"
+#include "net/host_table.h"
+#include "net/network_model.h"
 #include "net/shard_router.h"
+#include "net/sim_network.h"
 #include "obs/trace_merge.h"
 #include "sim/simulator.h"
 
@@ -199,96 +200,67 @@ TEST(DeliveryLane, LoweringInsideTheLoopKeepsReferenceOrder) {
 
 // ---- ShardRouter ----
 
-TEST(ShardRouter, FlushInjectsIntoDestinationDeliveryLane) {
-  sim::Simulator sa;
-  sim::Simulator sb;
+// Two one-host shards over a zero-jitter matrix model: host 10 in shard 0,
+// host 20 in shard 1, every one-way delay exactly 10 ms.
+struct TwoShards {
+  net::MatrixNetwork model{/*default_rtt_ms=*/20.0, /*default_bw_mbps=*/100.0,
+                           /*jitter_sigma=*/0.0};
+  sim::Simulator sa, sb;
+  net::HostTable ha, hb;
+  net::SimNetwork fa{sa, model, ha, Rng(1)};
+  net::SimNetwork fb{sb, model, hb, Rng(1)};
   net::ShardRouter router;
-  const auto s0 = router.add_shard(nullptr, &sa);
-  const auto s1 = router.add_shard(nullptr, &sb);
-  router.set_shard(HostId{10}, s0);
-  router.set_shard(HostId{20}, s1);
-  EXPECT_EQ(router.shard_of(HostId{10}), s0);
-  EXPECT_EQ(router.shard_of(HostId{20}), s1);
-  EXPECT_EQ(router.shard_of(HostId{999}), 0u);  // unmapped -> shard 0
+  static constexpr HostId kA{10};
+  static constexpr HostId kB{20};
+
+  TwoShards() {
+    EXPECT_EQ(router.add_shard(&fa), 0u);
+    EXPECT_EQ(router.add_shard(&fb), 1u);
+    router.set_shard(kA, 0);
+    router.set_shard(kB, 1);
+    for (net::SimNetwork* f : {&fa, &fb}) {
+      f->enable_deterministic_delivery(1);
+      f->set_shard_router(&router);
+    }
+    ha.set_alive(kA, true);
+    hb.set_alive(kB, true);
+  }
+};
+
+TEST(ShardRouter, CrossShardSendIsPendingAtTheDestinationBeforeAnyWindow) {
+  TwoShards w;
+  EXPECT_EQ(w.router.shard_of(TwoShards::kB), 1u);
+  EXPECT_EQ(w.router.shard_of(HostId{999}), 0u);  // unmapped -> shard 0
+  EXPECT_EQ(w.router.fabric_of(1), &w.fb);
 
   bool delivered = false;
-  router.post(s0, s1, msec(12), /*key_hi=*/42, /*key_lo=*/0,
-              sim::Callback([&delivered] { delivered = true; }));
-  EXPECT_FALSE(router.idle());
-  EXPECT_EQ(router.flush(msec(10)), 1u);
-  EXPECT_TRUE(router.idle());
-  EXPECT_EQ(router.messages_routed(), 1u);
-  EXPECT_FALSE(delivered);  // buffered into sb, not executed yet
-  sb.run_until(msec(12));
+  w.fa.deliver(TwoShards::kA, TwoShards::kB, /*bytes=*/0.0,
+               [&delivered] { delivered = true; });
+  // Scheduled straight into the destination's simulator, nothing local.
+  EXPECT_EQ(w.sb.pending(), 1u);
+  EXPECT_EQ(w.sa.pending(), 0u);
+  w.sb.run_until(msec(10) - 1);
+  EXPECT_FALSE(delivered);
+  w.sb.run_until(msec(10));
   EXPECT_TRUE(delivered);
-  EXPECT_EQ(sa.events_processed(), 0u);
+  EXPECT_EQ(w.sa.events_processed(), 0u);
+  // Counted once the next window opens.
+  EXPECT_EQ(w.router.messages_routed(), 0u);
+  w.router.open_window(msec(20));
+  EXPECT_EQ(w.router.messages_routed(), 1u);
 }
 
-TEST(ShardRouter, FlushThrowsWhenArrivalPrecedesWindowStart) {
-  sim::Simulator sa;
-  sim::Simulator sb;
-  net::ShardRouter router;
-  const auto s0 = router.add_shard(nullptr, &sa);
-  const auto s1 = router.add_shard(nullptr, &sb);
-  router.post(s0, s1, msec(5), 1, 0, sim::Callback([] {}));
-  EXPECT_THROW(router.flush(msec(6)), std::runtime_error);
-}
-
-// ---- resolve_thread_count (shared harness contract) ----
-
-TEST(ResolveThreadCount, ExplicitRequestWins) {
-  EXPECT_EQ(harness::resolve_thread_count(4, 8), 4u);
-  EXPECT_EQ(harness::resolve_thread_count(1, 8), 1u);
-  // An explicit request is honored even when hardware reports nothing.
-  EXPECT_EQ(harness::resolve_thread_count(3, 0), 3u);
-}
-
-TEST(ResolveThreadCount, ZeroPicksHardwareClampedToOne) {
-  EXPECT_EQ(harness::resolve_thread_count(0, 8), 8u);
-  // hardware_concurrency() == 0 means "unknown" — never 0 threads.
-  EXPECT_EQ(harness::resolve_thread_count(0, 0), 1u);
-  const unsigned hw = std::thread::hardware_concurrency();
-  EXPECT_EQ(harness::resolve_thread_count(0), hw == 0 ? 1u : hw);
-  EXPECT_GE(harness::resolve_thread_count(0), 1u);
-}
-
-// ---- WindowPool ----
-
-TEST(WindowPool, InlineWhenSingleThreaded) {
-  harness::WindowPool pool(1);
-  EXPECT_EQ(pool.threads(), 1u);
-  std::atomic<int> sum{0};
-  pool.for_each(100, [&sum](std::size_t i) {
-    sum.fetch_add(static_cast<int>(i), std::memory_order_relaxed);
-  });
-  EXPECT_EQ(sum.load(), 4950);
-}
-
-TEST(WindowPool, PooledRunsEveryIndexExactlyOnce) {
-  harness::WindowPool pool(3);
-  std::vector<std::atomic<int>> hits(64);
-  for (int round = 0; round < 5; ++round) {  // reusable across barriers
-    pool.for_each(hits.size(), [&hits](std::size_t i) {
-      hits[i].fetch_add(1, std::memory_order_relaxed);
-    });
-  }
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 5);
-}
-
-TEST(WindowPool, PropagatesExceptionsAndSurvives) {
-  harness::WindowPool pool(2);
-  EXPECT_THROW(
-      pool.for_each(8,
-                    [](std::size_t i) {
-                      if (i == 3) throw std::runtime_error("boom");
-                    }),
-      std::runtime_error);
-  // The pool must stay usable after a failed window.
-  std::atomic<int> ran{0};
-  pool.for_each(8, [&ran](std::size_t) {
-    ran.fetch_add(1, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(ran.load(), 8);
+TEST(ShardRouter, ArrivalBeforeTheWindowEndThrowsAtSend) {
+  TwoShards w;
+  w.router.open_window(msec(15));
+  // Arrives at 10 ms, inside the window [0, 15 ms) shard 1 may already
+  // have executed.
+  EXPECT_THROW(w.fa.deliver(TwoShards::kA, TwoShards::kB, 0.0, [] {}),
+               std::runtime_error);
+  EXPECT_EQ(w.sb.pending(), 0u);
+  // A send inside its own shard is never checked.
+  w.fa.deliver(TwoShards::kA, TwoShards::kA, 0.0, [] {});
+  EXPECT_EQ(w.sa.pending(), 1u);
 }
 
 // ---- lookahead ----
@@ -322,6 +294,40 @@ TEST(ShardedScenario, WindowlessSingleShardUsesOneGiantWindow) {
   scenario.add_node(spec);
   scenario.run_until(sec(5.0));
   EXPECT_EQ(scenario.shard_stats().windows, 1u);
+}
+
+// Zero jitter and a 20 ms matrix model with effectively infinite
+// bandwidth make every one-way delay, and so the lookahead, exactly 10 ms.
+// Nodes started at 10 ms register with the manager at exactly 20 ms: with
+// run_until(20 ms) from zero, the registrations sent from domain 1 are
+// sent at the start of the last window and arrive exactly on the horizon,
+// which the sequential contract includes.
+TEST(ShardedScenario, CrossShardArrivalOnTheHorizonMatchesTheReference) {
+  const auto run = [](unsigned shards) {
+    harness::ShardedConfig config;
+    config.base.seed = 3;
+    config.base.trace = true;
+    config.shards = shards;
+    harness::ShardedScenario scenario(config, harness::NetKind::kMatrix,
+                                      /*default_rtt_ms=*/20.0,
+                                      /*default_bw_mbps=*/1e9,
+                                      /*jitter_sigma=*/0.0);
+    for (int i = 0; i < 8; ++i) {
+      harness::NodeSpec spec;
+      spec.position = {40.0 + 1.5 * i, -100.0 + 2.0 * i};
+      scenario.schedule_node_start(scenario.add_node(spec), msec(10));
+    }
+    if (shards > 1) {
+      EXPECT_EQ(scenario.lookahead(), msec(10));
+      EXPECT_GT(scenario.simulator_of(1).pending(), 0u);  // a remote node
+    }
+    scenario.run_until(msec(20));
+    EXPECT_EQ(scenario.central_manager().live_nodes(), scenario.node_count());
+    return obs::events_to_jsonl(scenario.canonical_trace());
+  };
+  const std::string reference = run(1);
+  ASSERT_FALSE(reference.empty());
+  EXPECT_EQ(run(2), reference);
 }
 
 // ---- harness features at every domain count ----
@@ -489,15 +495,6 @@ TEST(ShardWitness, OverloadFamilySpecsMatchToo) {
   const check::ShardRunReport ref = check::run_spec_sharded(spec, 0);
   const check::ShardRunReport got = check::run_spec_sharded(spec, 4);
   expect_identical_reports(ref, got, "overload seed 11");
-}
-
-TEST(ShardWitness, ThreadCountDoesNotChangeTheDigest) {
-  const check::ScenarioSpec spec = check::generate_spec(3);
-  const check::ShardRunReport ref = check::run_spec_sharded(spec, 4);
-  check::ShardRunOptions wide;
-  wide.threads = 4;
-  const check::ShardRunReport got = check::run_spec_sharded(spec, 4, wide);
-  expect_identical_reports(ref, got, "threads 1 vs 4");
 }
 
 TEST(ShardWitness, ShorterForcedWindowsDoNotChangeTheDigest) {

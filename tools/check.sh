@@ -32,9 +32,7 @@ SMOKE_JSON="$(mktemp)"
 SMOKE_REPRO="$(mktemp)"
 LIVE_JSON="$(mktemp)"
 trap 'rm -f "$SMOKE_JSON" "$SMOKE_REPRO" "$LIVE_JSON"' EXIT
-# --threads 1 pins the shard sweep to the sequential WindowPool: CI boxes
-# have unpredictable core counts and the sweep gate compares wall-clock.
-build-release/bench/bench_scale --clients 2000 --nodes 200 --threads 1 \
+build-release/bench/bench_scale --clients 2000 --nodes 200 \
   --json "$SMOKE_JSON"
 extract_smoke_wall() {
   # wall_sec inside the "smoke" object (field order is fixed by the bench).
