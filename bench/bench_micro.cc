@@ -242,7 +242,7 @@ double time_rpc_async_ns(int rpcs) {
   net::HostTable hosts;
   hosts.set_alive(HostId{1}, true);
   hosts.set_alive(HostId{2}, true);
-  net::SimNetwork network(simulator, model, hosts, Rng(7));
+  net::SimNetwork network(simulator, model, hosts, /*jitter_seed=*/7);
   int completed = 0;
   const auto issue = [&](int count) {
     for (int i = 0; i < count; ++i) {
@@ -268,7 +268,7 @@ double time_rpc_async_ns(int rpcs) {
 
 // One-way delay sampling through SimNetwork::sample_delay on a jittered
 // GeoNetwork (sigma 0.08, the fleet-bench configuration): pair-metric
-// computation + log-normal jitter draw + transfer delay. A 256-host walk
+// computation + hashed log-normal jitter draw + transfer delay. A 256-host walk
 // is a hot loop; bench_scale's "network" object times the same call over
 // a fleet-sized pair set.
 double time_sample_owd_ns(int samples) {
@@ -283,7 +283,7 @@ double time_sample_owd_ns(int samples) {
                    static_cast<int>(layout.uniform_int(0, 4)));
   }
   net::HostTable hosts;
-  net::SimNetwork network(simulator, model, hosts, Rng(9));
+  net::SimNetwork network(simulator, model, hosts, /*jitter_seed=*/9);
   SimDuration acc = 0;
   std::uint32_t a = 1, b = 2;
   const auto walk = [&](int count, SimDuration& sum) {

@@ -1,6 +1,6 @@
 // The one spec recipe: how a ScenarioSpec becomes a world and how the
 // world's end state is read back, shared by check::run_spec (on
-// harness::Scenario, the sequential FIFO-delivery configuration) and
+// harness::Scenario, the one-domain windowless configuration) and
 // check::run_spec_sharded (on a domain-partitioned harness::ShardedScenario):
 // node clamps and background ramps, client starts and stops, fault windows
 // clamped to the quiet tail and the crash instant, the EndState snapshot,

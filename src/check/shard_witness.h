@@ -19,8 +19,9 @@
 // allows a standby at one domain only. The witness digest deliberately
 // differs from check::run_spec()'s: run_spec digests the raw recording
 // order of a single simulator (teardown included), which is well-defined
-// only for the sequential configuration (harness::Scenario). The witness digests the canonical merge of the pre-teardown
-// prefix, the strongest artifact that is meaningful at EVERY shard count.
+// only for the sequential configuration (harness::Scenario). The witness
+// digests the canonical merge of the pre-teardown prefix, the strongest
+// artifact that is meaningful at EVERY shard count.
 #pragma once
 
 #include <cstdint>

@@ -1,10 +1,9 @@
 // Scenario: the sequential configuration of the one harness
-// (harness/sharded_scenario.h) — one domain, no windows, and the FIFO
-// delivery path: arrivals scheduled in send order, jitter drawn from the
-// fabric's own Rng stream. Every paper figure is measured in this world.
-// Besides the constructors it holds only one-domain accessors; every
-// builder, fault, failover, stats and observability method is the
-// harness's.
+// (harness/sharded_scenario.h) — one domain and no windows, with the same
+// canonical message delivery as every shard count, so it simulates the
+// same world. Every paper figure is measured in it. Besides the
+// constructors it holds only one-domain accessors; every builder, fault,
+// failover, stats and observability method is the harness's.
 //
 // It alone takes a custom network model (ModelFactory) and exposes the
 // MatrixNetwork for mutation: a custom or mutable model has no cross-shard

@@ -48,16 +48,16 @@ ShardedScenario::ShardedScenario(ShardedConfig config, NetKind kind,
     : ShardedScenario(std::move(config),
                       builtin_model(kind, default_rtt_ms, default_bw_mbps,
                                     jitter_sigma),
-                      default_rtt_ms, /*deterministic=*/true) {}
+                      default_rtt_ms) {}
 
 ShardedScenario::ShardedScenario(const ScenarioConfig& config,
                                  const ModelFactory& factory)
     : ShardedScenario(ShardedConfig{.base = config}, factory,
-                      /*default_rtt_ms=*/0.0, /*deterministic=*/false) {}
+                      /*default_rtt_ms=*/0.0) {}
 
 ShardedScenario::ShardedScenario(ShardedConfig config,
                                  const ModelFactory& factory,
-                                 double default_rtt_ms, bool deterministic)
+                                 double default_rtt_ms)
     : config_(std::move(config)), default_rtt_ms_(default_rtt_ms) {
   const unsigned shards = std::max(1u, config_.shards);
   if (config_.base.standby.enabled && shards > 1) {
@@ -67,17 +67,11 @@ ShardedScenario::ShardedScenario(ShardedConfig config,
   for (unsigned s = 0; s < shards; ++s) domains_.emplace_back();
   // One model for every domain; hosts are added only between windows.
   model_ = factory(domains_[0].scheduler);
-  const Rng rng(config_.base.seed);
   for (Domain& d : domains_) {
     d.fabric = std::make_unique<net::SimNetwork>(d.sim, *model_, d.hosts,
-                                                 rng.fork("fabric"));
+                                                 config_.base.seed);
     router_.add_shard(d.fabric.get());
-    if (deterministic) {
-      // Same seed everywhere: a message's jitter must not depend on which
-      // domain sampled it.
-      d.fabric->enable_deterministic_delivery(config_.base.seed);
-      d.fabric->set_shard_router(&router_);
-    }
+    d.fabric->set_shard_router(&router_);
   }
 
   // Manager: always domain 0, host 0.
@@ -555,12 +549,12 @@ SimDuration ShardedScenario::lookahead() const {
   }
   if (min_owd_us >= 1e30) return kHugeWindow;  // no relevant pair at all
 
-  // Deterministic jitter is clamped at +/- kDetJitterZClamp sigma, so the
+  // The jitter draw is clamped at +/- kJitterZClamp sigma, so the
   // factor never drops below exp(-clamp * sigma); slow_link factors < 1
   // (never injected by the stock harnesses, but legal) shrink the floor
   // further.
   const double jitter_floor =
-      std::exp(-net::SimNetwork::kDetJitterZClamp * model.jitter_sigma());
+      std::exp(-net::SimNetwork::kJitterZClamp * model.jitter_sigma());
   const double slow_floor = std::min(1.0, min_slow_factor_);
   const auto ticks = static_cast<SimDuration>(
       min_owd_us * jitter_floor * slow_floor);

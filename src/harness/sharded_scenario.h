@@ -23,17 +23,15 @@
 // that every shard count gives the same world. Every domain's fabric
 // samples the one network model the scenario owns.
 //
-// Delivery: the public constructor runs every fabric in deterministic-
-// delivery mode (canonical delivery keys + counter-based jitter; see
-// SimNetwork), host→shard placement is a pure function of position
-// (geohash cell hash), and the manager is pinned to domain 0. The merged
-// run — traces canonicalized by obs::merge_shard_traces, metrics merged in
-// domain order, fleet stats aggregated in global client order — is
-// bitwise identical across shard counts, which eden::check's shard witness
-// pins against the one-shard windowless reference. Scenario's protected
-// constructor keeps one domain and the FIFO delivery path instead
-// (arrivals scheduled in send order, jitter from the fabric's Rng stream),
-// the world every paper figure was measured in.
+// Delivery: every fabric delivers under canonical keys with counter-based
+// jitter (see SimNetwork), all seeded with ScenarioConfig::seed,
+// host→shard placement is a pure function of position (geohash cell
+// hash), and the manager is pinned to domain 0. The merged run — traces
+// canonicalized by obs::merge_shard_traces, metrics merged in domain
+// order, fleet stats aggregated in global client order — is bitwise
+// identical across shard counts, which eden::check's shard witness pins
+// against the one-shard windowless reference. Scenario's protected
+// constructor keeps one domain without windows; it runs the same world.
 //
 // Scale: node/client runtimes live in structure-of-arrays fleets
 // (harness/fleet.h), the edge clients of a domain share one
@@ -244,8 +242,8 @@ class ShardedScenario {
   // The conservative window bound: the largest window length guaranteed
   // not to miss a cross-shard arrival, derived from the minimum possible
   // cross-shard one-way delay (exact over pairs for small worlds, a
-  // last-mile tier bound for large ones; times the deterministic-jitter
-  // floor exp(-kDetJitterZClamp * sigma) and the smallest injected
+  // last-mile tier bound for large ones; times the jitter floor
+  // exp(-kJitterZClamp * sigma) and the smallest injected
   // slow-link factor). Throws std::runtime_error if the floor collapses
   // to zero ticks.
   [[nodiscard]] SimDuration lookahead() const;
@@ -337,7 +335,7 @@ class ShardedScenario {
   };
 
   // The sequential configuration (harness::Scenario): one domain, no
-  // windows, FIFO delivery.
+  // windows.
   ShardedScenario(const ScenarioConfig& config, const ModelFactory& factory);
 
   [[nodiscard]] static ModelFactory builtin_model(NetKind kind,
@@ -357,7 +355,7 @@ class ShardedScenario {
   };
 
   ShardedScenario(ShardedConfig config, const ModelFactory& factory,
-                  double default_rtt_ms, bool deterministic);
+                  double default_rtt_ms);
 
   [[nodiscard]] std::uint32_t domain_of_position(
       const geo::GeoPoint& position) const;

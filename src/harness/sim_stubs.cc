@@ -19,12 +19,26 @@ Done&& slot_done(Done&& done) {
   return std::forward<Done>(done);
 }
 
+// The same guard for the request leg of every node rpc: a server closure
+// whose arrival event spills out of the simulator's inline callback storage
+// would allocate on every probe, join and frame. `Sync` is false for
+// `rpc_async`, which does not wrap its server in a sync adaptor. The
+// manager stub and link are not guarded: their closures copy a request
+// holding strings, which allocates whatever the closure's size.
+template <typename Resp, bool Sync = true, typename Server>
+Server&& inline_server(Server&& server) {
+  static_assert(net::SimNetwork::request_stores_inline<
+                    Resp, std::decay_t<Server>, Sync>(),
+                "rpc request closure spills out of the event arena");
+  return std::forward<Server>(server);
+}
+
 }  // namespace
 
 void SimNodeStub::rtt_probe(ClientId from, net::Done<bool> done) {
   network_->rpc<bool>(
       from, node_host_, sizes_.probe_request, sizes_.probe_request,
-      timeouts_.probe, [] { return true; },
+      timeouts_.probe, inline_server<bool>([] { return true; }),
       slot_done<bool>([done = std::move(done)](std::optional<bool> ok) mutable {
         done(ok.has_value());
       }));
@@ -35,7 +49,8 @@ void SimNodeStub::process_probe(
   network_->rpc<net::ProcessProbeResponse>(
       from, node_host_, sizes_.probe_request, sizes_.probe_response,
       timeouts_.probe,
-      [node = node_, from] { return node->handle_process_probe(from); },
+      inline_server<net::ProcessProbeResponse>(
+          [node = node_, from] { return node->handle_process_probe(from); }),
       slot_done<net::ProcessProbeResponse>(std::move(done)));
 }
 
@@ -44,7 +59,8 @@ void SimNodeStub::join(const net::JoinRequest& request,
   network_->rpc<net::JoinResponse>(
       request.client, node_host_, sizes_.join_request, sizes_.join_response,
       timeouts_.join,
-      [node = node_, request] { return node->handle_join(request); },
+      inline_server<net::JoinResponse>(
+          [node = node_, request] { return node->handle_join(request); }),
       slot_done<net::JoinResponse>(std::move(done)));
 }
 
@@ -53,7 +69,9 @@ void SimNodeStub::unexpected_join(const net::JoinRequest& request,
   network_->rpc<bool>(
       request.client, node_host_, sizes_.join_request, sizes_.join_response,
       timeouts_.join,
-      [node = node_, request] { return node->handle_unexpected_join(request); },
+      inline_server<bool>([node = node_, request] {
+        return node->handle_unexpected_join(request);
+      }),
       slot_done<bool>([done = std::move(done)](std::optional<bool> ok) mutable {
         done(ok.value_or(false));
       }));
@@ -74,11 +92,13 @@ void SimNodeStub::offload(const net::FrameRequest& request,
   network_->rpc_async<net::FrameResponse>(
       request.client, node_host_, request.bytes, sizes_.frame_response,
       timeouts_.frame,
-      [node = node_, client = request.client, frame_id = request.frame_id,
-       cost = request.cost](auto reply) {
-        node->handle_offload(net::FrameRequest{client, frame_id, 0.0, cost},
-                             std::move(reply));
-      },
+      inline_server<net::FrameResponse, /*Sync=*/false>(
+          [node = node_, client = request.client, frame_id = request.frame_id,
+           cost = request.cost](auto reply) {
+            node->handle_offload(
+                net::FrameRequest{client, frame_id, 0.0, cost},
+                std::move(reply));
+          }),
       slot_done<net::FrameResponse>(std::move(done)));
 }
 

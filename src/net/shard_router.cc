@@ -14,11 +14,7 @@ void ShardRouter::set_shard(HostId host, ShardId shard) {
   owner_[host.value] = shard;
 }
 
-void ShardRouter::open_window(SimTime end) {
-  window_end_ = end;
-  routed_ += admitted_in_window_;
-  admitted_in_window_ = 0;
-}
+void ShardRouter::open_window(SimTime end) { window_end_ = end; }
 
 void ShardRouter::admit(SimTime arrival) {
   if (arrival < window_end_) {
@@ -26,7 +22,7 @@ void ShardRouter::admit(SimTime arrival) {
         "ShardRouter::admit: cross-shard arrival precedes the window end — "
         "the lookahead bound was violated");
   }
-  ++admitted_in_window_;
+  ++routed_;
 }
 
 }  // namespace eden::net

@@ -49,16 +49,13 @@ class ShardRouter {
   // the lookahead bound was violated.
   void admit(SimTime arrival);
 
-  // Cross-shard messages sent before the current window opened. A message
-  // counts when the next window opens, so the sends of a run's last
-  // window are not counted until another run_until() opens one.
+  // Cross-shard messages sent so far (each counted by admit()).
   [[nodiscard]] std::uint64_t messages_routed() const { return routed_; }
 
  private:
   std::vector<SimNetwork*> fabrics_;
   std::vector<ShardId> owner_;
   SimTime window_end_{0};
-  std::uint64_t admitted_in_window_{0};
   std::uint64_t routed_{0};
 };
 

@@ -141,21 +141,16 @@ void SimNetwork::consume_request(std::uint64_t handle) {
 
 SimDuration SimNetwork::sample_delay(HostId from, HostId to, double bytes) {
   double owd_us = static_cast<double>(model_->base_rtt(from, to)) / 2.0;
-  // Same draw stream and same float expression as NetworkModel::
-  // sample_owd. Deterministic mode swaps the shared Rng stream for a
-  // counter-based draw keyed by (seed, directed pair, source sequence):
-  // the jitter of a given message then depends only on its sender's own
-  // traffic — the property that makes sharded executions bit-identical.
+  // The jitter of a message depends only on (seed, directed pair, its
+  // sender's sequence number) — the property that makes sharded executions
+  // bit-identical. The sequence is peeked here and consumed by
+  // route_canonical.
   if (jitter_sigma_ > 0) {
-    if (!deterministic_) [[likely]] {
-      owd_us *= rng_.lognormal(0.0, jitter_sigma_);
-    } else {
-      const std::uint64_t key =
-          (static_cast<std::uint64_t>(to.value) << 32) | from.value;
-      const std::uint64_t seq =
-          from.value < src_seq_.size() ? src_seq_[from.value] : 0;
-      owd_us *= det_jitter_factor(key, seq);
-    }
+    const std::uint64_t key =
+        (static_cast<std::uint64_t>(to.value) << 32) | from.value;
+    const std::uint64_t seq =
+        from.value < src_seq_.size() ? src_seq_[from.value] : 0;
+    owd_us *= jitter_factor(key, seq);
   }
   SimDuration delay = static_cast<SimDuration>(owd_us) +
                       model_->transfer_delay(from, to, bytes);
@@ -166,11 +161,11 @@ SimDuration SimNetwork::sample_delay(HostId from, HostId to, double bytes) {
   return delay;
 }
 
-double SimNetwork::det_jitter_factor(std::uint64_t key,
-                                     std::uint64_t seq) const {
+double SimNetwork::jitter_factor(std::uint64_t key,
+                                 std::uint64_t seq) const {
   // Mix (seed, pair, seq) through a splitmix64-style finalizer, then draw
   // one clamped standard normal via Box-Muller on the two 32-bit halves.
-  std::uint64_t z = det_seed_;
+  std::uint64_t z = jitter_seed_;
   z ^= key + 0x9e3779b97f4a7c15ull + (z << 6) + (z >> 2);
   z ^= seq + 0x9e3779b97f4a7c15ull + (z << 6) + (z >> 2);
   z ^= z >> 30;
@@ -182,7 +177,7 @@ double SimNetwork::det_jitter_factor(std::uint64_t key,
   const double u2 = static_cast<double>(z & 0xffffffffu) * 0x1.0p-32;  // [0,1)
   constexpr double kTwoPi = 6.283185307179586;
   double n = std::sqrt(-2.0 * std::log(u1)) * std::cos(kTwoPi * u2);
-  n = std::clamp(n, -kDetJitterZClamp, kDetJitterZClamp);
+  n = std::clamp(n, -kJitterZClamp, kJitterZClamp);
   return std::exp(jitter_sigma_ * n);
 }
 

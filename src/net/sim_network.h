@@ -4,6 +4,15 @@
 // top; the typed Node/Manager API stubs in the harness are thin wrappers
 // over it.
 //
+// Delivery: every cross-host message is a simulator delivery under the
+// canonical (arrival, destination, source, source sequence) key, and its
+// jitter factor comes from a counter-based hash of (seed, directed pair,
+// source sequence). The source sequence numbers every message a host
+// sends; each host's sends run in its own domain in canonical order, so
+// message ordering and sampled delays are a pure function of the message
+// set — independent of shard layout — which is exactly what the shard
+// witness pins.
+//
 // Messaging hot path (see DESIGN.md §8): pending rpc state lives in a
 // generation-stamped slab pool inside SimNetwork — no shared_ptr, no
 // std::function. Each slot stores the completion inline, the route of the
@@ -21,7 +30,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/types.h"
 #include "net/host_table.h"
 #include "net/network_model.h"
@@ -92,15 +100,17 @@ class FaultInjector {
 
 class SimNetwork {
  public:
+  // Every fabric of one sharded world must use the SAME `jitter_seed`: a
+  // message's jitter must not depend on which domain sampled it.
   SimNetwork(sim::Simulator& simulator, const NetworkModel& model,
-             HostTable& hosts, Rng rng)
+             HostTable& hosts, std::uint64_t jitter_seed)
       : simulator_(&simulator),
         model_(&model),
         hosts_(&hosts),
-        rng_(rng),
         // Every NetworkModel fixes its jitter sigma at construction, so it
         // is safe to hoist out of the per-sample path.
-        jitter_sigma_(model.jitter_sigma()) {}
+        jitter_sigma_(model.jitter_sigma()),
+        jitter_seed_(jitter_seed) {}
 
   SimNetwork(const SimNetwork&) = delete;
   SimNetwork& operator=(const SimNetwork&) = delete;
@@ -110,36 +120,15 @@ class SimNetwork {
     faults_ = injector;
   }
 
-  // ---- deterministic (sharded) delivery mode ----
-  //
-  // In deterministic mode every cross-host message is a simulator delivery
-  // under the canonical (arrival, destination, source, source sequence)
-  // key, and the jitter factor comes from a counter-based hash of (seed,
-  // directed pair, source sequence) instead of the fabric's shared Rng
-  // stream. The source sequence numbers every message a host sends; each
-  // host's sends run in its own domain in canonical order, so both
-  // changes make message ordering and sampled delays a pure function of
-  // the message set — independent of shard layout — which is exactly what
-  // the sharded == sequential determinism witness pins. Every fabric
-  // participating in one sharded world must use the SAME seed (a
-  // message's jitter must not depend on which domain sampled it). Legacy
-  // fabrics that never enable this keep the historical Rng draws and FIFO
-  // schedules, byte for byte.
-  void enable_deterministic_delivery(std::uint64_t seed) {
-    deterministic_ = true;
-    det_seed_ = seed;
-  }
-  [[nodiscard]] bool deterministic_delivery() const { return deterministic_; }
-
   // Attach this fabric to a shard router: messages addressed to hosts
   // owned by other shards are admitted by the router and scheduled straight
-  // into the owner's simulator. Only meaningful in deterministic mode.
+  // into the owner's simulator.
   void set_shard_router(ShardRouter* router) { router_ = router; }
 
-  // Deterministic jitter clamps the standard-normal draw at +/- this many
-  // sigma, so exp(-kDetJitterZClamp * sigma) is a HARD lower bound on the
-  // jitter factor — the lookahead derivation depends on it.
-  static constexpr double kDetJitterZClamp = 6.0;
+  // The jitter draw clamps the standard normal at +/- this many sigma, so
+  // exp(-kJitterZClamp * sigma) is a HARD lower bound on the jitter
+  // factor — the lookahead derivation depends on it.
+  static constexpr double kJitterZClamp = 6.0;
 
   [[nodiscard]] sim::Simulator& simulator() { return *simulator_; }
   [[nodiscard]] const NetworkModel& model() const { return *model_; }
@@ -168,13 +157,13 @@ class SimNetwork {
    private:
     friend class SimNetwork;
     Reply(SimNetwork* net, std::uint64_t handle, HostId responder,
-          HostId client, double bytes, SimNetwork* origin = nullptr)
+          HostId client, double bytes, SimNetwork* origin)
         : net_(net),
           handle_(handle),
           responder_(responder),
           client_(client),
           bytes_(bytes),
-          origin_(origin == nullptr ? net : origin) {}
+          origin_(origin) {}
 
     SimNetwork* net_;
     std::uint64_t handle_;
@@ -194,13 +183,8 @@ class SimNetwork {
       return;
     }
     const SimDuration delay = sample_delay(from, to, bytes);
-    if (!deterministic_) [[likely]] {
-      simulator_->schedule_after(
-          delay, ArrivalGuard<std::decay_t<F>>{this, to, std::forward<F>(fn)});
-      return;
-    }
-    // Deterministic: the arrival guard checks liveness against the OWNING
-    // shard's host table (each domain tracks only its own hosts).
+    // The arrival guard checks liveness against the OWNING shard's host
+    // table (each domain tracks only its own hosts).
     route_canonical(from, to, delay,
                     ArrivalGuard<std::decay_t<F>>{owner_of(to), to,
                                                   std::forward<F>(fn)});
@@ -226,8 +210,6 @@ class SimNetwork {
     slot.rpc_to = to;
     slot.request_consumed = false;
     const std::uint64_t handle = make_handle(index, slot.generation);
-    // Timeout first, request leg second: when both land on the same tick
-    // the timeout keeps its historical FIFO priority.
     slot.timeout_event =
         simulator_->schedule_after(timeout, TimeoutFire{this, handle});
     if (faults_ != nullptr && faults_->dropped(from, to, simulator_->now())) {
@@ -237,23 +219,12 @@ class SimNetwork {
       return;
     }
     const SimDuration delay = sample_delay(from, to, request_bytes);
-    if (!deterministic_) [[likely]] {
-      simulator_->schedule_after(
-          delay,
-          RequestArrival<Resp, std::decay_t<Server>>{this, handle,
-                                                     std::move(server)});
-      return;
-    }
-    // Deterministic: the request leg settles at send so the slot is never
-    // mutated from another shard; the reply route rides inside the shipped
-    // closure instead of the slot. A timeout may then release the slot
-    // before the reply lands — the stale reply dies on the generation
-    // check, observably identical to the legacy pinned-slot lifecycle.
-    slot.request_consumed = true;
+    // The slot stays pinned on this (the caller's) fabric until the request
+    // lands, possibly on another shard's domain: the closure carries only
+    // the handle and reads the route back out of the slot on arrival.
     route_canonical(from, to, delay,
-                    DetRequestArrival<Resp, std::decay_t<Server>>{
-                        owner_of(to), this, handle, from, to, response_bytes,
-                        std::move(server)});
+                    RequestArrival<Resp, std::decay_t<Server>>{
+                        this, handle, std::move(server)});
   }
 
   // Synchronous-server convenience wrapper: `server` returns the response
@@ -284,6 +255,15 @@ class SimNetwork {
   template <typename Resp, typename Done>
   [[nodiscard]] static constexpr bool done_stores_inline() {
     return DoneFunc::stores_inline<DoneAdaptor<Resp, Done>>();
+  }
+
+  // Whether the request leg of `rpc_async<Resp>` (`rpc<Resp>` when `Sync`)
+  // with a server of type Server stores inline in the simulator's event
+  // arena; the sim stubs static_assert it for every call they make.
+  template <typename Resp, typename Server, bool Sync>
+  [[nodiscard]] static constexpr bool request_stores_inline() {
+    using Fn = std::conditional_t<Sync, SyncServer<Resp, Server>, Server>;
+    return sim::Callback::stores_inline<RequestArrival<Resp, Fn>>();
   }
 
  private:
@@ -392,6 +372,10 @@ class SimNetwork {
     void operator()() { net->finish_rpc<Resp>(handle, std::move(response)); }
   };
 
+  // Runs on the domain owning the rpc's destination, which is not the
+  // slot's domain for a cross-shard rpc: `net` is the caller's fabric,
+  // which owns the slot. Domains run one at a time, so reading and
+  // settling the slot from here needs no lock.
   template <typename Resp, typename ServerFn>
   struct RequestArrival {
     SimNetwork* net;
@@ -404,31 +388,14 @@ class SimNetwork {
       // timed out.
       RpcSlot* slot = net->lookup_rpc(handle);
       if (slot == nullptr) return;
-      if (!net->hosts_->alive(slot->rpc_to)) {
+      SimNetwork* dst = net->owner_of(slot->rpc_to);
+      if (!dst->hosts_->alive(slot->rpc_to)) {  // died in flight
         net->consume_request(handle);
         return;
       }
-      Reply<Resp> reply(net, handle, slot->rpc_to, slot->rpc_from,
-                        slot->response_bytes);
+      Reply<Resp> reply(dst, handle, slot->rpc_to, slot->rpc_from,
+                        slot->response_bytes, net);
       net->consume_request(handle);
-      server(std::move(reply));
-    }
-  };
-
-  // Deterministic-mode request arrival: executes on the shard owning
-  // `rpc_to` (possibly not the slot's shard), so the whole route is
-  // captured here instead of being read back out of the slot.
-  template <typename Resp, typename ServerFn>
-  struct DetRequestArrival {
-    SimNetwork* dst;     // fabric owning rpc_to — where this closure runs
-    SimNetwork* origin;  // fabric owning the rpc slot (rpc_from's shard)
-    std::uint64_t handle;
-    HostId rpc_from, rpc_to;
-    double response_bytes;
-    ServerFn server;
-    void operator()() {
-      if (!dst->hosts_->alive(rpc_to)) return;  // died in flight
-      Reply<Resp> reply(dst, handle, rpc_to, rpc_from, response_bytes, origin);
       server(std::move(reply));
     }
   };
@@ -439,10 +406,10 @@ class SimNetwork {
     void operator()(Reply<Resp> reply) { reply(server()); }
   };
 
-  // ---- deterministic routing helpers ----
+  // ---- canonical routing helpers ----
 
   // The fabric owning `host`'s shard (this fabric when no router is
-  // attached, e.g. the windowless sequential reference runner).
+  // attached).
   [[nodiscard]] SimNetwork* owner_of(HostId host) {
     if (router_ == nullptr) return this;
     return router_->fabric_of(router_->shard_of(host));
@@ -464,13 +431,12 @@ class SimNetwork {
     const SimTime arrival = simulator_->now() + delay;
     SimNetwork* owner = owner_of(to);
     if (owner != this) router_->admit(arrival);
-    owner->simulator_->schedule_delivery(arrival,
-                                         sim::Simulator::DeliveryKey{hi, lo},
-                                         sim::Callback(std::forward<F>(fn)));
+    owner->simulator_->schedule_delivery(
+        arrival, sim::Simulator::DeliveryKey{hi, lo}, std::forward<F>(fn));
   }
 
-  [[nodiscard]] double det_jitter_factor(std::uint64_t key,
-                                         std::uint64_t seq) const;
+  [[nodiscard]] double jitter_factor(std::uint64_t key,
+                                     std::uint64_t seq) const;
 
   // ---- rpc lifecycle (non-template paths live in the .cc) ----
 
@@ -483,19 +449,14 @@ class SimNetwork {
     // The response leg is an ordinary fabric delivery (cut check at send,
     // jitter draw, liveness at arrival) even when the rpc already timed
     // out: the wire does not know the caller gave up, and skipping the
-    // send would shift the jitter draw stream. `origin` (== this outside
-    // sharded runs) owns the rpc slot; the completion executes there.
+    // send would shift the responder's source sequence. `origin` (== this
+    // outside cross-shard rpcs) owns the rpc slot; route_canonical routes
+    // by `to` == the original caller, so the completion lands on origin's
+    // shard, where the slot lives.
     if (faults_ != nullptr && faults_->dropped(from, to, simulator_->now())) {
       return;
     }
     const SimDuration delay = sample_delay(from, to, bytes);
-    if (!deterministic_) [[likely]] {
-      simulator_->schedule_after(
-          delay, Completion<Resp>{origin, handle, std::move(response)});
-      return;
-    }
-    // route_canonical routes by `to` == the original caller, so the
-    // completion lands on origin's shard, where the slot lives.
     route_canonical(from, to, delay,
                     Completion<Resp>{origin, handle, std::move(response)});
   }
@@ -518,17 +479,12 @@ class SimNetwork {
   sim::Simulator* simulator_;
   const NetworkModel* model_;
   HostTable* hosts_;
-  Rng rng_;
   double jitter_sigma_;
+  std::uint64_t jitter_seed_;
   const FaultInjector* faults_{nullptr};
-
-  // Deterministic-delivery state (see enable_deterministic_delivery).
-  bool deterministic_{false};
-  std::uint64_t det_seed_{0};
   ShardRouter* router_{nullptr};
-  // Messages sent so far, by source HostId (deterministic mode only): the
-  // jitter of a host's message n is hashed from n, and n is the canonical
-  // delivery-key tiebreak.
+  // Messages sent so far, by source HostId: the jitter of a host's message
+  // n is hashed from n, and n is the canonical delivery-key tiebreak.
   std::vector<std::uint64_t> src_seq_;
 
   // Rpc slot pool (chunked so slots never move).

@@ -238,19 +238,6 @@ bool Simulator::pop_one(SimTime limit) {
   }
 }
 
-void Simulator::schedule_delivery(SimTime t, DeliveryKey key, Callback cb) {
-  if (!cb) return;
-  // Seq 0 marks the entry as a delivery and is also the slot's generation:
-  // no EventId is handed out, and a stale handle only matches it after the
-  // 2^32-event wrap that regular slots already tolerate.
-  const std::uint32_t index = prepare_slot(t, 0);
-  slot(index).cb = std::move(cb);
-  if (index >= delivery_keys_.size()) {
-    delivery_keys_.resize(chunks_.size() * kChunkSize);
-  }
-  delivery_keys_[index] = key;
-}
-
 void Simulator::run_until(SimTime t) {
   while (pop_one(t)) {
   }

@@ -91,9 +91,9 @@ class Simulator {
   // cancelled before.
   bool cancel(EventId id);
 
-  // ---- canonical deliveries (sharded / deterministic-delivery runs) ----
+  // ---- canonical deliveries ----
   //
-  // Cross-host message deliveries in deterministic mode are ordered by
+  // Cross-host message deliveries (net::SimNetwork) are ordered by
   // (time, key.hi, key.lo) instead of by scheduling order. SimNetwork
   // builds the key canonically — hi = (destination << 32 | source), lo =
   // the source's message sequence — so the relative order of same-tick
@@ -102,12 +102,24 @@ class Simulator {
   // timestamps deliveries run BEFORE regular events (a fixed global rule,
   // again shard-layout-independent).
   // Deliveries cannot be cancelled; they count toward pending() and
-  // events_processed() like regular events.
+  // events_processed() like regular events. Like schedule_at, the callable
+  // is constructed in its arena slot.
   struct DeliveryKey {
     std::uint64_t hi{0};
     std::uint64_t lo{0};
   };
-  void schedule_delivery(SimTime t, DeliveryKey key, Callback cb);
+  template <typename F,
+            typename = std::enable_if_t<
+                !std::is_same_v<std::decay_t<F>, Callback> &&
+                std::is_invocable_r_v<void, std::decay_t<F>&>>>
+  void schedule_delivery(SimTime t, DeliveryKey key, F&& fn) {
+    const std::uint32_t index = prepare_delivery(t, key);
+    slot(index).cb.emplace(std::forward<F>(fn));
+  }
+  void schedule_delivery(SimTime t, DeliveryKey key, Callback cb) {
+    if (!cb) return;
+    slot(prepare_delivery(t, key)).cb = std::move(cb);
+  }
 
   // Run every event with timestamp <= `t`; afterwards now() == t even if
   // the queue drained early.
@@ -262,6 +274,18 @@ class Simulator {
     slot(index).generation = static_cast<std::uint32_t>(seq);
     ++live_count_;
     push_entry(time, (seq << kSlotBits) | index);
+    return index;
+  }
+  // prepare_slot for a delivery: seq 0 marks the entry as a delivery and
+  // is also the slot's generation (no EventId is handed out, and a stale
+  // handle only matches it after the 2^32-event wrap that regular slots
+  // already tolerate); the key goes to the slot-indexed side array.
+  std::uint32_t prepare_delivery(SimTime t, DeliveryKey key) {
+    const std::uint32_t index = prepare_slot(t, 0);
+    if (index >= delivery_keys_.size()) [[unlikely]] {
+      delivery_keys_.resize(chunks_.size() * kChunkSize);
+    }
+    delivery_keys_[index] = key;
     return index;
   }
   void grow_slab();

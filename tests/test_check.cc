@@ -190,40 +190,40 @@ TEST(CheckRecipe, BothHarnessesBuildTheSameWorld) {
 // (`eden_check --seed S [--overload | --crash]` prints each digest) and
 // says so in the change log.
 constexpr std::uint64_t kDefaultFamilyDigests[30] = {
-    0xd5e59460acae0661ull, 0x8749b9e74db06332ull, 0x0b418de00bdded88ull,
-    0x0ee8606cb9c129edull, 0xf8cc3efe80e1d497ull, 0x20b7105fdc75898dull,
-    0x8703291730559ca2ull, 0x499836d65d0e208bull, 0x7b4666f519adfeceull,
-    0x939c51bfdbbebe1dull, 0x2550ca98188dba1aull, 0x75abaff028a599c1ull,
-    0x722d5874bfb6bb01ull, 0x44928c63d6a1b157ull, 0x6372f6bebafd5c01ull,
-    0x857df3685ab7a3d2ull, 0x357f896f1110f79eull, 0x75bccbf591138243ull,
-    0x2edd3c41cfb34ab3ull, 0x579031c1f2802a09ull, 0xebc83edb9c7bf462ull,
-    0x6d36ca8be620f5abull, 0xf5f4648a53771938ull, 0x64640d0cfd4a8ae3ull,
-    0x2ccc3d6a556ce95full, 0xe33d6ff20e697c41ull, 0x086d8bf78ffadf8cull,
-    0x044abaf229a68432ull, 0x1e79ef835f0575f6ull, 0xfbe3b6e7c9c668ecull,
+    0x672824342371641cull, 0xb69d6ab9b3126f89ull, 0x7ef454db707afa1eull,
+    0xaf6db29173593e2full, 0x1bd66503d57cc0ebull, 0x20b7105fdc75898dull,
+    0xf5315bcb94f97f7bull, 0x6141c7b4cab3eb71ull, 0xca2d016e478dc7f6ull,
+    0x99f1876224e84969ull, 0x16769aa4bf07c92eull, 0x75abaff028a599c1ull,
+    0xf9d7cd7fbb3eff75ull, 0x44928c63d6a1b157ull, 0x6372f6bebafd5c01ull,
+    0x857df3685ab7a3d2ull, 0x95918ba62d53270eull, 0x5dbce0c2f18e1960ull,
+    0x2edd3c41cfb34ab3ull, 0xafb4f95df34aac57ull, 0x8589eb6178bc7834ull,
+    0x74de7cb62df470c5ull, 0x477eb45e5385f119ull, 0xfb5e30498b6340b2ull,
+    0xf1e5d57bc253974eull, 0x4c1a3610e6c0e711ull, 0x665c08c3ad878a1dull,
+    0x044abaf229a68432ull, 0x28cca10f2aee6b85ull, 0xfbe3b6e7c9c668ecull,
 };
 constexpr std::uint64_t kOverloadFamilyDigests[30] = {
-    0xf88505f30e79726aull, 0xbca452bb8181423aull, 0x7e6cdaa24460b1e9ull,
-    0x42c658fda049cbecull, 0xda1d199b1c4723ceull, 0x3045c68a5b5c7fb9ull,
-    0x81a5b04a08666585ull, 0xe06e6d580f856b2bull, 0x460d4b5e40a23a9bull,
-    0xae016e8f8eea0ef1ull, 0x139a13c1cc219a19ull, 0xb785fbfd8359e8cbull,
-    0xad15127dd3d3a19dull, 0xe16e61ffba53055dull, 0x9191c64ef1c2e206ull,
-    0xe2ebf40e515cf13aull, 0x2c05486375580178ull, 0xd5335dbbc87cbf53ull,
-    0x5036a2ee1b9b949dull, 0x15ca43b29f9149c7ull, 0xd0abd3b236f3017full,
-    0xa7ac1ba7f39b35adull, 0x46f7ce525a31875aull, 0x7fa45a8e175bac04ull,
-    0xb36dba9de8c043abull, 0xd1b1ea519fb145c9ull, 0x37c2eb80ecea6af2ull,
-    0xc5e8ee04915596a4ull, 0xfbadd765cfd73e8dull, 0xdfc1c490309434a1ull,
+    0x5c60cb06ab2ef27full, 0x223806f05146b602ull, 0xc446f48e10804249ull,
+    0xa286f72dfe0e8c39ull, 0xb6d0f4902f168e9aull, 0x3045c68a5b5c7fb9ull,
+    0x6b64ba9ef50045d2ull, 0xa2bc537841a76dbfull, 0x2075c0017aa7613full,
+    0x7f8e9c3f4e28f73bull, 0xac59ac1c2f4cf67dull, 0xb785fbfd8359e8cbull,
+    0x961cb37140482df5ull, 0xe16e61ffba53055dull, 0x55f1806d5646ce8eull,
+    0x646104226064277eull, 0xbf4e492eae714b87ull, 0x40aefcc0c84e7604ull,
+    0x5036a2ee1b9b949dull, 0x12ef9df931190bc0ull, 0x58621dd5b00a90beull,
+    0xecd9e41f4ba252e1ull, 0x3edbdaf85c8e4f4cull, 0x89a9b217b82dd8a8ull,
+    0xb390e3ad77d43ec2ull, 0x6b7983fbf63723aeull, 0x10de3c7d4d7645c8ull,
+    0xa12d7f98b5956404ull, 0xf70ca535812b5ffaull, 0xdfc1c490309434a1ull,
 };
 constexpr std::uint64_t kCrashFamilyDigests[30] = {
-    0x7780fa77b073d82dull, 0x317c87eeb2f74ac7ull, 0x25d2efa37c3d7c53ull,
-    0xfe9d22a58ecb8c8full, 0x028d3ca35edf1b89ull, 0x35f7838ec9b2a007ull,
-    0xea71e74f3fd7d25bull, 0x8a6c317c79ba779cull, 0xc8a13897df6c9123ull,
-    0xaa72328e64236e4dull, 0x972ca7e6929cc0c3ull, 0x4dd868cfa7cf6276ull,
-    0xe13967ed65cb7807ull, 0xd2747de8ac1faab8ull, 0xaa1770fce0284c0dull,
-    0xbb3e15c782d4252eull, 0x3469f5dbe5e5ea46ull, 0x4fd18f39edb21258ull,
-    0xd8f932a87e6bbb76ull, 0x203fff9bf07510d5ull, 0xd047fb89d5b5b2c5ull,
-    0x5345f79436dc5860ull, 0x6c0b4a585174e0cdull, 0xe5baa2f79a1d6841ull,
-    0xe7a2e803ca84ae12ull, 0x0f0f4fb636ac0ca9ull, 0x7b2bbd4a71ee50dcull,
-    0xfc7626a5d996b3bbull, 0x67a7e12d5c197a1aull, 0x7453f7b9e1e1550dull,
+    0x68215bf00a9f6180ull, 0xe17188012e23507full, 0x19a8fee039a53b03ull,
+    0xf2738b01b376cb47ull, 0xc52e0ef4ccaa3c7eull, 0x35f7838ec9b2a007ull,
+    0x7095663570ec0906ull, 0x63e79ccf78f3f7b0ull, 0xf5df5b784e1d6589ull,
+    0x6cf6f1329f3512e9ull, 0x94cf0252b3422e07ull, 0x4dd868cfa7cf6276ull,
+    0x49e3a41c0c06077full, 0xd2747de8ac1faab8ull, 0xaa1770fce0284c0dull,
+    0xbb3e15c782d4252eull, 0xeafa85380b96af76ull, 0x9935d28815e79644ull,
+    0xd8f932a87e6bbb76ull, 0x3cabc2a076ea76edull, 0x88d29fe6d1ebe5eaull,
+    0x2815dc7b88589b6eull, 0x4c2a7b0d418f7027ull, 0x6be36fc3306d68b7ull,
+    0xf9a02c613ec16e8cull, 0x35aede497f192685ull, 0xd81400d9d7a959f3ull,
+    0xd8e29b0b573047f3ull, 0xfb667905be2415c3ull, 0x7453f7b9e1e1550dull,
 };
 
 TEST(CheckDigests, FuzzSeedsReproduceRecordedDigests) {

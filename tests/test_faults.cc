@@ -63,7 +63,7 @@ TEST(SimNetworkFaults, CutDropsAtSendTime) {
   sim::Simulator simulator;
   net::MatrixNetwork model(20.0, 100.0, 0.0);
   net::HostTable hosts;
-  net::SimNetwork fabric(simulator, model, hosts, Rng(1));
+  net::SimNetwork fabric(simulator, model, hosts, /*jitter_seed=*/1);
   net::FaultInjector faults;
   fabric.set_fault_injector(&faults);
   hosts.set_alive(HostId{1}, true);
@@ -82,7 +82,7 @@ TEST(SimNetworkFaults, SlowLinkInflatesRpcLatency) {
   sim::Simulator simulator;
   net::MatrixNetwork model(20.0, 100.0, 0.0);
   net::HostTable hosts;
-  net::SimNetwork fabric(simulator, model, hosts, Rng(1));
+  net::SimNetwork fabric(simulator, model, hosts, /*jitter_seed=*/1);
   net::FaultInjector faults;
   fabric.set_fault_injector(&faults);
   hosts.set_alive(HostId{1}, true);

@@ -237,7 +237,7 @@ class SimNetworkTest : public ::testing::Test {
  protected:
   SimNetworkTest()
       : model_(20.0, 100.0, 0.0),
-        fabric_(simulator_, model_, hosts_, Rng(7)) {
+        fabric_(simulator_, model_, hosts_, /*jitter_seed=*/7) {
     hosts_.set_alive(kA, true);
     hosts_.set_alive(kB, true);
   }
@@ -305,7 +305,7 @@ TEST(SimNetwork, GeoExtraRttTakesEffectMidRun) {
   model.add_host(kB, {44.99, -93.27}, AccessTier::kCable);
   HostTable hosts;
   hosts.set_alive(kB, true);
-  SimNetwork fabric(simulator, model, hosts, Rng(7));
+  SimNetwork fabric(simulator, model, hosts, /*jitter_seed=*/7);
   SimTime arrived = -1;
   fabric.deliver(kA, kB, 0, [&] { arrived = simulator.now(); });
   simulator.run_all();
@@ -318,10 +318,10 @@ TEST(SimNetwork, GeoExtraRttTakesEffectMidRun) {
   EXPECT_EQ(arrived - sent, first + msec(15.0));
 }
 
-// Deterministic delivery numbers each message by its source's own
-// sequence and hashes the jitter from (pair, that number): host C's
-// traffic to B leaves the delay of A's n-th message to B unchanged, while
-// A's own messages elsewhere advance A's sequence.
+// The fabric numbers each message by its source's own sequence and hashes
+// the jitter from (pair, that number): host C's traffic to B leaves the
+// delay of A's n-th message to B unchanged, while A's own messages
+// elsewhere advance A's sequence.
 TEST(SimNetwork, DeterministicJitterFollowsTheSourceSequence) {
   auto delays_from_a = [](bool c_sends_to_b, bool a_sends_to_c) {
     sim::Simulator simulator;
@@ -329,8 +329,7 @@ TEST(SimNetwork, DeterministicJitterFollowsTheSourceSequence) {
     HostTable hosts;
     hosts.set_alive(kB, true);
     hosts.set_alive(kC, true);
-    SimNetwork fabric(simulator, model, hosts, Rng(7));
-    fabric.enable_deterministic_delivery(42);
+    SimNetwork fabric(simulator, model, hosts, /*jitter_seed=*/42);
     std::vector<SimDuration> delays;
     for (int n = 0; n < 8; ++n) {
       const SimTime sent = simulator.now();

@@ -127,7 +127,7 @@ TEST_P(RpcExactlyOnce, EveryCallCompletesOnce) {
   sim::Simulator simulator;
   net::MatrixNetwork model(rng.uniform(5, 50), 100.0, 0.1);
   net::HostTable hosts;
-  net::SimNetwork fabric(simulator, model, hosts, rng.fork("fabric"));
+  net::SimNetwork fabric(simulator, model, hosts, GetParam());
 
   const int host_count = 6;
   for (std::uint32_t h = 0; h < host_count; ++h) {

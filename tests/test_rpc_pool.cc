@@ -33,7 +33,7 @@ class RpcPoolTest : public ::testing::Test {
  protected:
   RpcPoolTest()
       : model_(20.0, 100.0, 0.0),
-        fabric_(simulator_, model_, hosts_, Rng(7)) {
+        fabric_(simulator_, model_, hosts_, /*jitter_seed=*/7) {
     hosts_.set_alive(kA, true);
     hosts_.set_alive(kB, true);
   }
@@ -212,7 +212,7 @@ TEST(RpcPoolTeardown, DestructorAbandonsPendingDoneWithoutInvoking) {
     HostTable hosts;
     hosts.set_alive(kA, true);
     hosts.set_alive(kB, true);
-    SimNetwork fabric(simulator, model, hosts, Rng(7));
+    SimNetwork fabric(simulator, model, hosts, /*jitter_seed=*/7);
     fabric.rpc<int>(
         kA, kB, 0, 0, sec(1), [] { return 42; },
         [&](std::optional<int>) { ++calls; });
@@ -366,7 +366,7 @@ TEST(StubCompletions, SteadyStateStubCallsDoNotSpill) {
   HostTable hosts;
   hosts.set_alive(kA, true);
   hosts.set_alive(kB, true);
-  SimNetwork fabric(simulator, model, hosts, Rng(7));
+  SimNetwork fabric(simulator, model, hosts, /*jitter_seed=*/7);
   node::EdgeNode node(scheduler, stub_node_config(kB));
   node.start();
   harness::SimNodeStub stub(fabric, node, kB);
@@ -414,7 +414,7 @@ TEST(StubCompletions, SteadyStateProbeCycleDoesNotSpill) {
   HostTable hosts;
   const HostId kNodes[] = {HostId{2}, HostId{3}};
   hosts.set_alive(kA, true);
-  SimNetwork fabric(simulator, model, hosts, Rng(7));
+  SimNetwork fabric(simulator, model, hosts, /*jitter_seed=*/7);
   std::deque<node::EdgeNode> nodes;
   std::deque<harness::SimNodeStub> stubs;
   FixedManager manager;

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <optional>
 #include <random>
 #include <set>
 #include <stdexcept>
@@ -207,8 +208,8 @@ struct TwoShards {
                            /*jitter_sigma=*/0.0};
   sim::Simulator sa, sb;
   net::HostTable ha, hb;
-  net::SimNetwork fa{sa, model, ha, Rng(1)};
-  net::SimNetwork fb{sb, model, hb, Rng(1)};
+  net::SimNetwork fa{sa, model, ha, /*jitter_seed=*/1};
+  net::SimNetwork fb{sb, model, hb, /*jitter_seed=*/1};
   net::ShardRouter router;
   static constexpr HostId kA{10};
   static constexpr HostId kB{20};
@@ -218,10 +219,8 @@ struct TwoShards {
     EXPECT_EQ(router.add_shard(&fb), 1u);
     router.set_shard(kA, 0);
     router.set_shard(kB, 1);
-    for (net::SimNetwork* f : {&fa, &fb}) {
-      f->enable_deterministic_delivery(1);
-      f->set_shard_router(&router);
-    }
+    fa.set_shard_router(&router);
+    fb.set_shard_router(&router);
     ha.set_alive(kA, true);
     hb.set_alive(kB, true);
   }
@@ -244,9 +243,10 @@ TEST(ShardRouter, CrossShardSendIsPendingAtTheDestinationBeforeAnyWindow) {
   w.sb.run_until(msec(10));
   EXPECT_TRUE(delivered);
   EXPECT_EQ(w.sa.events_processed(), 0u);
-  // Counted once the next window opens.
-  EXPECT_EQ(w.router.messages_routed(), 0u);
-  w.router.open_window(msec(20));
+  // Counted at the send, with no window opened.
+  EXPECT_EQ(w.router.messages_routed(), 1u);
+  // A send inside its own shard is not a cross-shard message.
+  w.fa.deliver(TwoShards::kA, TwoShards::kA, 0.0, [] {});
   EXPECT_EQ(w.router.messages_routed(), 1u);
 }
 
@@ -261,6 +261,68 @@ TEST(ShardRouter, ArrivalBeforeTheWindowEndThrowsAtSend) {
   // A send inside its own shard is never checked.
   w.fa.deliver(TwoShards::kA, TwoShards::kA, 0.0, [] {});
   EXPECT_EQ(w.sa.pending(), 1u);
+}
+
+// A cross-shard rpc whose 5 ms timeout fires before its request lands at
+// 10 ms. The caller's slot stays pinned until the request leg settles on
+// the destination's domain, where the server still runs; the slot is then
+// released exactly once, and the response arriving at 20 ms dies on the
+// slot's generation check instead of completing the rpc that reused it.
+TEST(ShardRouter, CrossShardRpcTimingOutBeforeItsRequestLands) {
+  TwoShards w;
+  int calls = 0;
+  std::optional<int> result = 1;
+  SimTime served_at = -1;
+  w.fa.rpc<int>(
+      TwoShards::kA, TwoShards::kB, 0.0, 0.0, msec(5),
+      [&] {
+        served_at = w.sb.now();
+        return 42;
+      },
+      [&](std::optional<int> r) {
+        ++calls;
+        result = r;
+      });
+  EXPECT_EQ(w.sb.pending(), 1u);  // the request leg, on the owner's domain
+  w.sa.run_until(msec(9));
+  EXPECT_EQ(calls, 1);
+  EXPECT_FALSE(result.has_value());
+  EXPECT_EQ(w.fa.rpc_slots_in_use(), 1u);  // pinned: request in flight
+
+  w.sb.run_until(msec(10));
+  EXPECT_EQ(served_at, msec(10));
+  EXPECT_EQ(w.sa.now(), msec(9));
+  EXPECT_EQ(w.fa.rpc_slots_in_use(), 0u);
+  EXPECT_EQ(w.fb.rpc_slots_in_use(), 0u);
+  EXPECT_EQ(w.sa.pending(), 1u);  // the late response, due at 20 ms
+
+  // A second rpc reuses the released slot under a bumped generation; its
+  // server keeps the reply.
+  std::function<void(int)> reply;
+  int second_calls = 0;
+  std::optional<int> second_result;
+  w.fa.rpc_async<int>(
+      TwoShards::kA, TwoShards::kB, 0.0, 0.0, sec(1),
+      [&](std::function<void(int)> r) { reply = std::move(r); },
+      [&](std::optional<int> r) {
+        ++second_calls;
+        second_result = r;
+      });
+  EXPECT_EQ(w.fa.rpc_slots_in_use(), 1u);
+  EXPECT_EQ(w.fa.rpc_slot_capacity(), 256u);
+  w.sa.run_until(msec(20));  // the late response lands and is dropped
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(second_calls, 0);
+  EXPECT_EQ(w.fa.rpc_slots_in_use(), 1u);
+
+  w.sb.run_until(msec(19));
+  ASSERT_TRUE(reply);
+  reply(7);  // arrives at 29 ms
+  w.sa.run_until(msec(30));
+  EXPECT_EQ(second_calls, 1);
+  ASSERT_TRUE(second_result.has_value());
+  EXPECT_EQ(*second_result, 7);
+  EXPECT_EQ(w.fa.rpc_slots_in_use(), 0u);
 }
 
 // ---- lookahead ----

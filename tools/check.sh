@@ -143,6 +143,24 @@ fi
 echo "shard sweep rows ($SWEEP_FIELDS), exact:"
 echo "$NEW_ROWS"
 
+# One world: the smoke fleet (Scenario, one windowless domain) and every
+# shard sweep row (ShardedScenario at 1/2/4/8 shards) run the same message
+# delivery, so they must report the same events, frames and latency.
+ONE_WORLD_FIELDS="events frames_ok latency_p50_ms latency_p99_ms"
+SMOKE_OBS=$(for field in $ONE_WORLD_FIELDS; do
+  printf '%s ' "$(extract_field "$SMOKE_JSON" smoke "$field")"
+done)
+SWEEP_OBS=$(SWEEP_FIELDS="$ONE_WORLD_FIELDS" extract_sweep_rows "$SMOKE_JSON" |
+  sort -u)
+if [ -z "$SWEEP_OBS" ] || [ "$SWEEP_OBS" != "$SMOKE_OBS" ]; then
+  echo "one world: sweep rows differ from the smoke fleet ($ONE_WORLD_FIELDS)" >&2
+  echo "smoke: $SMOKE_OBS" >&2
+  echo "sweep:" >&2
+  echo "$SWEEP_OBS" >&2
+  exit 1
+fi
+echo "one world: smoke == every sweep row ($ONE_WORLD_FIELDS): $SMOKE_OBS"
+
 # Memory gate: the bench process's peak RSS at the end of the smoke run;
 # more than 1.25x the committed value fails. Engine queue storage is a
 # large share of it, so a queue that keeps capacity it no longer uses (or
@@ -276,6 +294,11 @@ echo "=== [release] shard witness smoke (eden_check --witness) ==="
 # the canonical trace digest must be bit-identical to the windowless
 # sequential reference on every seed.
 build-release/tools/eden_check --witness --seeds 25 --seed-base 1 \
+  --shards 1,2,4,8 --jobs "$JOBS" --budget-sec 120
+# The same witness over the overload families (flash crowds, diurnal
+# waves, slow credit leaks): load feedback, shedding and throttling must
+# not make the world depend on the shard layout either.
+build-release/tools/eden_check --witness --overload --seeds 25 --seed-base 1 \
   --shards 1,2,4,8 --jobs "$JOBS" --budget-sec 120
 
 echo "=== [release] deterministic-simulation smoke (eden_check) ==="
