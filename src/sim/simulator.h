@@ -108,17 +108,13 @@ class Simulator {
     std::uint64_t hi{0};
     std::uint64_t lo{0};
   };
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, Callback> &&
-                std::is_invocable_r_v<void, std::decay_t<F>&>>>
+  template <typename F>
   void schedule_delivery(SimTime t, DeliveryKey key, F&& fn) {
+    static_assert(!std::is_same_v<std::decay_t<F>, Callback>,
+                  "pass the callable itself: it is built in its slot");
+    static_assert(std::is_invocable_r_v<void, std::decay_t<F>&>);
     const std::uint32_t index = prepare_delivery(t, key);
     slot(index).cb.emplace(std::forward<F>(fn));
-  }
-  void schedule_delivery(SimTime t, DeliveryKey key, Callback cb) {
-    if (!cb) return;
-    slot(prepare_delivery(t, key)).cb = std::move(cb);
   }
 
   // Run every event with timestamp <= `t`; afterwards now() == t even if

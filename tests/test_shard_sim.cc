@@ -38,7 +38,7 @@ TEST(DeliveryLane, DeliveriesBeatEventsAtEqualTimestamps) {
   std::string order;
   sim.schedule_at(msec(10), [&order] { order += 'E'; });
   sim.schedule_delivery(msec(10), sim::Simulator::DeliveryKey{1, 0},
-                        sim::Callback([&order] { order += 'D'; }));
+                        [&order] { order += 'D'; });
   sim.run_until(msec(10));
   EXPECT_EQ(order, "DE");
 }
@@ -48,13 +48,13 @@ TEST(DeliveryLane, OrdersByCanonicalKeyNotInsertion) {
   std::string order;
   // Insert in scrambled order; the lane must execute by (time, hi, lo).
   sim.schedule_delivery(msec(5), sim::Simulator::DeliveryKey{2, 0},
-                        sim::Callback([&order] { order += 'c'; }));
+                        [&order] { order += 'c'; });
   sim.schedule_delivery(msec(5), sim::Simulator::DeliveryKey{1, 7},
-                        sim::Callback([&order] { order += 'b'; }));
+                        [&order] { order += 'b'; });
   sim.schedule_delivery(msec(5), sim::Simulator::DeliveryKey{1, 2},
-                        sim::Callback([&order] { order += 'a'; }));
+                        [&order] { order += 'a'; });
   sim.schedule_delivery(msec(3), sim::Simulator::DeliveryKey{9, 9},
-                        sim::Callback([&order] { order += '0'; }));
+                        [&order] { order += '0'; });
   sim.run_all();
   EXPECT_EQ(order, "0abc");
 }
@@ -63,7 +63,7 @@ TEST(DeliveryLane, CountsTowardPendingAndNextEventTime) {
   sim::Simulator sim;
   bool ran = false;
   sim.schedule_delivery(msec(4), sim::Simulator::DeliveryKey{1, 0},
-                        sim::Callback([&ran] { ran = true; }));
+                        [&ran] { ran = true; });
   EXPECT_EQ(sim.pending(), 1u);
   sim.run_until(msec(4) - 1);  // the lane's next event is not due yet
   EXPECT_FALSE(ran);
@@ -155,9 +155,7 @@ TEST(DeliveryLane, LoweringInsideTheLoopKeepsReferenceOrder) {
       const Pending p{at, 0, key.hi, key.lo, id};
       reference.insert(p);
       by_id.emplace(id, p);
-      sim.schedule_delivery(at, key, sim::Callback([&fire, id] {
-                              fire(id, true);
-                            }));
+      sim.schedule_delivery(at, key, [&fire, id] { fire(id, true); });
     };
 
     // Sparse regular events spanning several radix levels, dense

@@ -221,7 +221,7 @@ TEST(Simulator, QueueStorageStaysProportionalToQueuedEntries) {
       if (rng() % 3 == 0) {
         s.schedule_delivery(t + ahead(rng),
                             Simulator::DeliveryKey{rng() % 64, deliveries++},
-                            Callback([&fired] { ++fired; }));
+                            [&fired] { ++fired; });
         continue;
       }
       const EventId id = s.schedule_at(t + ahead(rng), [&fired] { ++fired; });
@@ -289,7 +289,7 @@ TEST(Simulator, GapScheduleLowersMultiBlockBuckets) {
   auto add_delivery = [&](SimTime at, std::uint64_t lo) {
     const int id = next_id++;
     s.schedule_delivery(at, Simulator::DeliveryKey{0, lo},
-                        Callback([&fired, id] { fired.push_back(id); }));
+                        [&fired, id] { fired.push_back(id); });
     return id;
   };
   std::vector<int> batch;

@@ -333,10 +333,15 @@ echo "=== [release] overload fuzz smoke (eden_check --overload) ==="
 build-release/tools/eden_check --seeds 400 --seed-base 1 --overload \
   --jobs "$JOBS" --budget-sec 60 --out "$SMOKE_REPRO"
 
-echo "=== [release] flash-crowd smoke (load-feedback phase switching) ==="
-# The curated overload figure at quarter scale: feedback-on must beat
-# feedback-off on burst-window p95 without completing fewer frames.
-build-release/bench/bench_flash_crowd --smoke --assert-improves
+echo "=== [release] flash-crowd sweep (load-feedback phase switching) ==="
+# The curated overload figure's claim: feedback-on beats feedback-off on
+# burst-window p95 without completing fewer frames. It holds at every seed
+# 1..60 at full size. The quarter-scale crowd saturates its cell only at
+# some seeds (18 of 60), so there the gate is the recorded rate, 31 of 60
+# (EXPERIMENTS.md "Flash crowd").
+build-release/bench/bench_flash_crowd --seeds 60 --assert-improves
+build-release/bench/bench_flash_crowd --smoke --seeds 60 --assert-improves \
+  --min-holds 31
 
 echo "=== [release] benchmark selftest (edenbench/selftest.py) ==="
 # The benchmark compiles src/ on its own (edenbench/CMakeLists.txt): build
